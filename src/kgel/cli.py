@@ -10,7 +10,7 @@
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to stderr;
 data goes to stdout or to the file named by --out. Output files start with a
 header record echoing the run configuration (input paths and parameters; the
-output path and --threads are excluded because they must not affect bytes).
+output path is excluded because it must not affect bytes).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .ngram import (
     save_model,
     train,
 )
-from .similarity import BACKEND
 from .synthesis import (
     CORPUS_FORMAT,
     DEFAULT_SYNONYM_CAP,
@@ -120,7 +119,7 @@ def cmd_synthesize(args) -> int:
     )
     config.validate()
     kg = parse_kg_dir(args.kg)
-    samples = synthesize_corpus(kg, args.mode, cap=args.cap, k=args.k, seed=args.seed, threads=args.threads)
+    samples = synthesize_corpus(kg, args.mode, cap=args.cap, k=args.k, seed=args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         count = write_corpus(samples, fp, config=config.to_dict())
     _info(f"wrote {count} samples to {args.out}")
@@ -169,9 +168,7 @@ def cmd_link(args) -> int:
     else:
         uniform = UniformScorer()
         scorer_factory = lambda surface: uniform
-    predictions = link_dataset(
-        kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k, threads=args.threads
-    )
+    predictions = link_dataset(kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         count = write_predictions(predictions, fp, config=config.to_dict())
     _info(f"linked {count} mentions to {args.out}")
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kgel", description="KG corpus synthesis, constrained entity linking, evaluation")
     parser.add_argument(
         "--version", action="version",
-        version=f"kgel {__version__} (editdist backend: {BACKEND}; formats: {', '.join(FORMATS)})",
+        version=f"kgel {__version__} (formats: {', '.join(FORMATS)})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -231,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_SYNONYM_CAP, help="max synonym pairs per concept")
     p.add_argument("--k", type=int, default=DEFAULT_TRIPLES_PER_CONCEPT, help="max sampled triples per concept")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
@@ -249,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="n-gram model file; omit for the uniform scorer")
     p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_link)
 

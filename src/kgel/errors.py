@@ -72,6 +72,10 @@ class NoHypothesisError(KgelError):
     """Constrained search produced no completed surface form."""
 
 
+class NonFiniteScoreError(KgelError):
+    """A scorer returned NaN or an infinite log probability."""
+
+
 class EmptyCorpusError(KgelError):
     pass
 

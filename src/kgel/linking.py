@@ -1,12 +1,11 @@
 """End-to-end mention linking: condition the scorer on the mention, decode a
 surface form constrained to the trie, then resolve it to an entity id through
-the lookup table. Ambiguous surfaces resolve to the owner most similar to the
-mention, then to the smallest id."""
+the owners stored at the trie terminal it ended on. Ambiguous surfaces resolve
+to the owner most similar to the mention, then to the smallest id."""
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
@@ -82,7 +81,6 @@ def link_mention(
     kg: KnowledgeGraph,
     trie: TokenTrie,
     scorer_factory: ScorerFactory,
-    table: LookupTable,
     mention: Mention,
     *,
     doc_id: str = "",
@@ -90,17 +88,18 @@ def link_mention(
     beam_width: int = 5,
     top_k: int = 10,
 ) -> LinkedPrediction:
-    """Decode one mention. The trie and table must come from the same KG, so
-    every decoded surface resolves to at least one entity."""
+    """Decode one mention. Owners come from the trie terminal each hypothesis
+    ended on, so the trie must come from ``kg``."""
     scorer = scorer_factory(mention.surface)
     results = constrained_beam_search(trie, scorer, beam_width)
-    candidates = []
-    for tokens, score in results[:top_k]:
-        surface = " ".join(tokens)
-        owners = table.owners(surface)
-        if not owners:
-            raise KgelError(f"decoded surface {surface!r} is missing from the lookup table")
-        candidates.append(Candidate(surface=surface, entity=_resolve_owner(kg, mention.surface, owners), score=score))
+    candidates = [
+        Candidate(
+            surface=" ".join(tokens),
+            entity=_resolve_owner(kg, mention.surface, trie.entities_at(tokens)),
+            score=score,
+        )
+        for tokens, score in results[:top_k]
+    ]
     return LinkedPrediction(doc_id=doc_id, mention_index=mention_index, gold=mention.gold, candidates=tuple(candidates))
 
 
@@ -111,28 +110,22 @@ def link_dataset(
     *,
     beam_width: int = 5,
     top_k: int = 10,
-    threads: int = 1,
 ) -> list[LinkedPrediction]:
     """Link every mention, in (document, mention) order. A mention that fails
     to decode yields an empty candidate list instead of aborting the batch."""
     trie = build_trie(kg)
-    table = build_lookup(kg)
-    jobs = [(doc.doc_id, index, mention) for doc in docs for index, mention in enumerate(doc.mentions)]
-
-    def work(job: tuple[str, int, Mention]) -> LinkedPrediction:
-        doc_id, index, mention = job
-        try:
-            return link_mention(
-                kg, trie, scorer_factory, table, mention,
-                doc_id=doc_id, mention_index=index, beam_width=beam_width, top_k=top_k,
-            )
-        except KgelError:
-            return LinkedPrediction(doc_id=doc_id, mention_index=index, gold=mention.gold, candidates=())
-
-    if threads <= 1:
-        return [work(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as executor:
-        return list(executor.map(work, jobs))
+    predictions = []
+    for doc in docs:
+        for index, mention in enumerate(doc.mentions):
+            try:
+                prediction = link_mention(
+                    kg, trie, scorer_factory, mention,
+                    doc_id=doc.doc_id, mention_index=index, beam_width=beam_width, top_k=top_k,
+                )
+            except KgelError:
+                prediction = LinkedPrediction(doc_id=doc.doc_id, mention_index=index, gold=mention.gold, candidates=())
+            predictions.append(prediction)
+    return predictions
 
 
 def write_predictions(predictions: Iterable[LinkedPrediction], fp: TextIO, *, config: dict | None = None) -> int:

@@ -1,8 +1,11 @@
 """String similarity: drives target-synonym selection and ambiguity resolution.
 
-The Levenshtein kernel is the hot loop when linking whole datasets, so a
-compiled implementation is preferred and the pure-Python one is the fallback;
-``BACKEND`` records which is active.
+The Levenshtein kernel is the hot loop when linking whole datasets. It is the
+bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's formulation for
+global edit distance (2003): one column of the DP matrix is held as vertical
+delta bit-vectors, so each character of the longer string costs a fixed number
+of integer operations. Python ints have no width limit, so the vectors span
+the whole shorter string without splitting it into machine words.
 """
 
 from __future__ import annotations
@@ -14,19 +17,41 @@ from .text import normalize
 if TYPE_CHECKING:
     from .kg import Entity
 
-try:
-    from ._editdist import levenshtein as _levenshtein
-
-    BACKEND = "c"
-except ImportError:  # pragma: no cover - depends on the build environment
-    from ._editdist_py import levenshtein as _levenshtein
-
-    BACKEND = "python"
-
 
 def edit_distance(a: str, b: str) -> int:
     """Unit-cost Levenshtein distance between two strings, per Unicode character."""
-    return _levenshtein(a, b)
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
+        return len(a)
+    # bit i of peq[c] is set where b[i] == c
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, m
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # the top DP row is 0, 1, 2, ...: a +1 horizontal delta enters at bit 0
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def similarity(a: str, b: str, *, normalized: bool = True) -> float:

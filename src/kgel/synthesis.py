@@ -11,7 +11,7 @@ are drawn per concept without replacement, picking a relation group with
 probability proportional to the inverse of the relation's global frequency,
 then uniformly within the group. All randomness flows from explicit seeds and
 per-entity streams are derived with a stable hash, so corpus bytes are a pure
-function of (kg, mode, cap, k, seed) regardless of thread count.
+function of (kg, mode, cap, k, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -64,11 +63,13 @@ def derive_seed(seed: int, *parts: str) -> int:
 
 
 def check_special_tokens(kg: KnowledgeGraph) -> None:
-    """Reject graphs whose text contains reserved template tokens."""
+    """Reject graphs whose text contains reserved template tokens. Tokens are
+    case-folded downstream, so the comparison is too: ``[bos]`` is ``[BOS]``."""
 
     def scan(text: str, where: str) -> None:
+        folded = text.casefold()
         for token in SPECIAL_TOKENS:
-            if token in text:
+            if token.casefold() in folded:
                 raise SpecialTokenError(f"reserved token {token} occurs in {where}: {text!r}")
 
     for entity in kg.entities.values():
@@ -218,40 +219,26 @@ def synthesize_corpus(
     cap: int = DEFAULT_SYNONYM_CAP,
     k: int = DEFAULT_TRIPLES_PER_CONCEPT,
     seed: int = 42,
-    threads: int = 1,
 ) -> Iterator[TrainingSample]:
     """Stream samples for every entity in ascending id order.
 
     ``combined`` emits an entity's synonym samples followed by its
-    line-by-line triple samples. Entities get independent derived seeds, so
-    the stream is identical for any ``threads`` value.
+    line-by-line triple samples. Each entity draws from its own derived seed.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     check_special_tokens(kg)
-    entity_ids = sorted(kg.entities)
-
-    def per_entity(entity_id: str) -> list[TrainingSample]:
+    for entity_id in sorted(kg.entities):
         entity = kg.entities[entity_id]
         entity_seed = derive_seed(seed, entity_id)
-        samples: list[TrainingSample] = []
         if mode in ("synonym", "combined"):
-            samples.extend(synonym_samples(entity, cap, derive_seed(entity_seed, "synonym")))
+            yield from synonym_samples(entity, cap, derive_seed(entity_seed, "synonym"))
         if mode in ("triple_line", "combined"):
-            samples.extend(triple_samples_line(kg, entity, k, derive_seed(entity_seed, "triple_line")))
+            yield from triple_samples_line(kg, entity, k, derive_seed(entity_seed, "triple_line"))
         if mode == "triple_all":
             sample = triple_samples_all(kg, entity, k, derive_seed(entity_seed, "triple_all"))
             if sample is not None:
-                samples.append(sample)
-        return samples
-
-    if threads <= 1:
-        for entity_id in entity_ids:
-            yield from per_entity(entity_id)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            for batch in executor.map(per_entity, entity_ids):
-                yield from batch
+                yield sample
 
 
 def write_corpus(samples: Iterable[TrainingSample], fp: TextIO, *, config: dict | None = None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .errors import EmptySurfaceError, InvalidPrefixError, NoHypothesisError
+from .errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from .kg import KnowledgeGraph
 from .text import normalize, tokenize
 
@@ -147,7 +147,8 @@ def constrained_beam_search(
     expanding if the node has children). Hypotheses are ranked by descending
     score, ties broken lexicographically by token sequence. ``max_len``
     defaults to the trie depth, which guarantees completion on a non-empty
-    trie. Raises NoHypothesisError when nothing completes.
+    trie. Raises NoHypothesisError when nothing completes and
+    NonFiniteScoreError when the scorer returns NaN or an infinity.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -166,6 +167,8 @@ def constrained_beam_search(
             step_scores = scorer.score_next(prefix, set(node.children))
             if set(step_scores) != set(node.children):
                 raise ValueError("scorer did not cover exactly the candidate set")
+            if not all(map(math.isfinite, step_scores.values())):
+                raise NonFiniteScoreError(f"scorer returned a non-finite score after prefix {list(prefix)!r}")
             for token in sorted(node.children):
                 candidate = (prefix + (token,), score + step_scores[token], node.children[token])
                 if trace is not None:

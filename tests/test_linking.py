@@ -46,23 +46,33 @@ class TestBuildLookup:
         assert len(table) == 0
         assert table.owners("anything") == ()
 
+    def test_entries_equal_trie_terminal_payloads(self, linkbench):
+        # link_mention reads owners from the trie, evaluate from the table
+        kg, _ = linkbench
+        kg = build_kg(
+            [*kg.entities.values(), Entity.make("Z1", "Shared  Name"), Entity.make("Z0", "shared name")], [], []
+        )
+        trie = build_trie(kg)
+        table = build_lookup(kg)
+        assert table.ambiguous_count == 1
+        assert {s: trie.entities_at(s.split()) for s in table.entries} == table.entries
+        assert len(trie) == len(table)
+
 
 class TestLinkMention:
     def test_single_surface_trie_always_wins(self, toy_kg):
         kg = build_kg([Entity.make("A", "lonely surface")], [], [])
         trie = build_trie(kg)
-        table = build_lookup(kg)
         for surface in ("anything", "lonely", ""):
-            prediction = link_mention(kg, trie, uniform_factory, table, mention(surface, gold="A"))
+            prediction = link_mention(kg, trie, uniform_factory, mention(surface, gold="A"))
             assert prediction.candidates[0].surface == "lonely surface"
             assert prediction.candidates[0].entity == "A"
 
     def test_exact_match_trained_scorer(self, toy_kg, toy_docs):
         model = train(finetune_targets(toy_kg, toy_docs), 3)
         trie = build_trie(toy_kg)
-        table = build_lookup(toy_kg)
         prediction = link_mention(
-            toy_kg, trie, lambda s: condition_on_mention(model, s), table,
+            toy_kg, trie, lambda s: condition_on_mention(model, s),
             mention("ibuprofen", gold="C0005"), doc_id="d2", mention_index=0,
         )
         assert prediction.candidates[0].entity == "C0005"
@@ -79,23 +89,20 @@ class TestLinkMention:
             [],
         )
         trie = TokenTrie.from_surfaces({"shared term": ["A", "B"]})
-        table = build_lookup(kg)
-        prediction = link_mention(kg, trie, uniform_factory, table, mention("MI", gold="A"))
+        prediction = link_mention(kg, trie, uniform_factory, mention("MI", gold="A"))
         assert prediction.candidates[0].surface == "shared term"
         assert prediction.candidates[0].entity == "A"
 
     def test_ambiguity_tie_breaks_to_smallest_id(self):
         kg = build_kg([Entity.make("B", "twin"), Entity.make("A", "Twin")], [], [])
         trie = build_trie(kg)
-        table = build_lookup(kg)
-        prediction = link_mention(kg, trie, uniform_factory, table, mention("totally else", gold="A"))
+        prediction = link_mention(kg, trie, uniform_factory, mention("totally else", gold="A"))
         assert prediction.candidates[0].entity == "A"
 
     def test_top_k_truncation(self, toy_kg):
         trie = build_trie(toy_kg)
-        table = build_lookup(toy_kg)
         prediction = link_mention(
-            toy_kg, trie, uniform_factory, table, mention("fever", gold="C0004"),
+            toy_kg, trie, uniform_factory, mention("fever", gold="C0004"),
             beam_width=10, top_k=3,
         )
         assert len(prediction.candidates) == 3
@@ -122,11 +129,6 @@ class TestLinkDataset:
             return buffer.getvalue()
 
         assert render() == render()
-
-    def test_threads_do_not_change_output(self, toy_kg, toy_docs):
-        one = link_dataset(toy_kg, toy_docs, uniform_factory, threads=1)
-        eight = link_dataset(toy_kg, toy_docs, uniform_factory, threads=8)
-        assert one == eight
 
     def test_failures_become_empty_candidates(self, toy_docs):
         # an empty KG gives an empty trie: every mention fails to decode but

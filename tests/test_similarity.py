@@ -70,6 +70,41 @@ class TestEditDistance:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
             assert edit_distance(a, b) == levenshtein_oracle(a, b)
 
+    # the cases below lie outside the 0-8 character strategies above: strings
+    # longer than one 64-bit word, characters outside the BMP, combining marks
+    def test_long_pairs_against_oracle(self):
+        rng = random.Random(65)
+        alphabet = "abcd é"
+        for _ in range(12):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(65, 150)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(65, 150)))
+            assert edit_distance(a, b) == levenshtein_oracle(a, b)
+
+    def test_empty_side(self):
+        long = "x" * 150
+        assert edit_distance(long, "") == edit_distance("", long) == 150
+        assert edit_distance("", "\U0001F600") == 1
+
+    def test_astral_and_combining_characters(self):
+        rng = random.Random(1003)
+        alphabet = ["a", "e", "\u0301", "\u0308", "\U0001F600", "\U0001D49C", "\U00020000"]
+        for _ in range(300):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            assert edit_distance(a, b) == levenshtein_oracle(a, b)
+        # a combining accent is its own character: "e" + U+0301 is one insertion from "e"
+        assert edit_distance("cafe\u0301", "cafe") == 1
+        assert edit_distance("caf\u00e9", "cafe\u0301") == 2
+
+    def test_unequal_lengths_in_both_orders(self):
+        rng = random.Random(4242)
+        for short_len, long_len in ((1, 70), (5, 64), (63, 65), (40, 130)):
+            short = "".join(rng.choice("abc") for _ in range(short_len))
+            long = "".join(rng.choice("abc") for _ in range(long_len))
+            expected = levenshtein_oracle(short, long)
+            assert edit_distance(short, long) == expected
+            assert edit_distance(long, short) == expected
+
 
 class TestSimilarity:
     def test_normalization_identity(self):

@@ -239,12 +239,6 @@ class TestSynthesizeCorpus:
         b = self.corpus_bytes(toy_kg, mode="synonym", cap=2, seed=7)
         assert a == b
 
-    def test_threads_do_not_change_bytes(self, toy_kg):
-        for mode in ("synonym", "triple_line", "triple_all", "combined"):
-            one = self.corpus_bytes(toy_kg, mode=mode, seed=11, threads=1)
-            eight = self.corpus_bytes(toy_kg, mode=mode, seed=11, threads=8)
-            assert one == eight
-
     def test_seed_changes_bytes(self, toy_kg):
         assert self.corpus_bytes(toy_kg, mode="combined", seed=1) != self.corpus_bytes(toy_kg, mode="combined", seed=2)
 
@@ -273,6 +267,12 @@ class TestSynthesizeCorpus:
         kg = build_kg([Entity.make("A", "evil [BOS] name")], [], [])
         with pytest.raises(SpecialTokenError):
             list(synthesize_corpus(kg, "synonym"))
+
+    @pytest.mark.parametrize("text", ["[bos] thing", "the [Eos]", "[st]x", "[\u017ft] long s"])
+    def test_special_token_rejected_in_any_case(self, text):
+        # tokens are case-folded, so "[bos]" is the BOS token of the n-gram model
+        with pytest.raises(SpecialTokenError):
+            list(synthesize_corpus(build_kg([Entity.make("A", text)], [], []), "synonym"))
 
     def test_unknown_mode(self, toy_kg):
         with pytest.raises(ValueError):

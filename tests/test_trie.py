@@ -5,7 +5,7 @@ import pytest
 
 from conftest import HashScorer, enumerate_hypotheses, random_surface_set
 
-from kgel.errors import EmptySurfaceError, InvalidPrefixError, NoHypothesisError
+from kgel.errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from kgel.kg import Entity, build_kg
 from kgel.trie import TokenTrie, UniformScorer, build_trie, constrained_beam_search
 
@@ -141,6 +141,17 @@ class TestBeamSearch:
 
         with pytest.raises(ValueError):
             constrained_beam_search(trie, Partial(), beam_width=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"], "c": ["C2"]})
+
+        class Poisoned:
+            def score_next(self, prefix, candidates):
+                return {t: (bad if t == "a" else -1.0) for t in candidates}
+
+        with pytest.raises(NonFiniteScoreError):
+            constrained_beam_search(trie, Poisoned(), beam_width=3)
 
     def test_length_normalization_option(self):
         trie = TokenTrie.from_surfaces({"a": ["C0"], "b b b": ["C1"]})
