@@ -171,7 +171,8 @@ def cmd_link(args) -> int:
     predictions = link_dataset(kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         count = write_predictions(predictions, fp, config=config.to_dict())
-    _info(f"linked {count} mentions to {args.out}")
+    failed = sum(1 for prediction in predictions if not prediction.candidates)
+    _info(f"linked {count} mentions to {args.out}; {failed} left without candidates")
     return 0
 
 

@@ -61,8 +61,25 @@ class Document:
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
     with open(path, encoding="utf-8", newline="") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            yield line_no, raw.rstrip("\r\n")
+        try:
+            for line_no, raw in enumerate(fp, start=1):
+                yield line_no, raw.rstrip("\r\n")
+        except UnicodeDecodeError:
+            raise MalformedLineError(path, *locate_invalid_utf8(path)) from None
+
+
+def locate_invalid_utf8(path: str | Path) -> tuple[int, str]:
+    """Line number and description of the first byte in ``path`` that is not
+    valid UTF-8, with lines counted as text-mode reading counts them. Readers
+    call this after a strict decode has failed, so valid files pay nothing."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = line[exc.start].encode("utf-8", "surrogateescape")[0]
+                return line_no, f"invalid UTF-8 byte 0x{byte:02x} at column {exc.start + 1}"
+    return 0, "invalid UTF-8"
 
 
 def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: bool = False) -> list[str]:
@@ -89,11 +106,13 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
 
     concepts_path = base / "concepts.tsv"
     names: dict[str, str] = {}
+    concept_lines: dict[str, int] = {}
     for line_no, line in _lines(concepts_path):
         cui, name = _split(concepts_path, line_no, line, 2)
         if cui in names:
             raise DuplicateEntityError(f"{concepts_path}:{line_no}: duplicate concept id {cui!r}")
         names[cui] = name
+        concept_lines[cui] = line_no
 
     synonyms_path = base / "synonyms.tsv"
     synonyms: dict[str, list[str]] = {}
@@ -139,7 +158,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
         try:
             entities.append(Entity.make(cui, name, synonyms.get(cui, ()), definitions.get(cui)))
         except ValueError as exc:
-            raise MalformedLineError(concepts_path, 0, f"invalid concept {cui!r}: {exc}") from exc
+            raise MalformedLineError(concepts_path, concept_lines[cui], f"invalid concept {cui!r}: {exc}") from exc
 
     return build_kg(entities, relations.values(), triples)
 

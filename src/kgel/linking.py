@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import KgelError, MalformedPredictionsError
-from .ingest import Document, Mention
+from .ingest import Document, Mention, locate_invalid_utf8
 from .kg import EntityId, KnowledgeGraph
 from .similarity import similarity
 from .text import normalize
@@ -149,31 +149,35 @@ def write_predictions(predictions: Iterable[LinkedPrediction], fp: TextIO, *, co
 def read_predictions(path: str | Path) -> list[LinkedPrediction]:
     src = Path(path)
     predictions = []
-    with open(src, encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedPredictionsError(f"{src}:{line_no}: invalid JSON: {exc.msg}") from exc
-            if isinstance(obj, dict) and "kgel" in obj:
-                continue
-            if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
-                raise MalformedPredictionsError(f"{src}:{line_no}: unexpected record keys")
-            try:
-                candidates = tuple(
-                    Candidate(surface=c["surface"], entity=c["entity"], score=float(c["score"]))
-                    for c in obj["candidates"]
-                )
-                prediction = LinkedPrediction(
-                    doc_id=obj["doc_id"],
-                    mention_index=int(obj["mention_index"]),
-                    gold=obj["gold"],
-                    candidates=candidates,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
-            predictions.append(prediction)
+    try:
+        with open(src, encoding="utf-8") as fp:
+            for line_no, raw in enumerate(fp, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedPredictionsError(f"{src}:{line_no}: invalid JSON: {exc.msg}") from exc
+                if isinstance(obj, dict) and "kgel" in obj:
+                    continue
+                if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
+                    raise MalformedPredictionsError(f"{src}:{line_no}: unexpected record keys")
+                try:
+                    candidates = tuple(
+                        Candidate(surface=c["surface"], entity=c["entity"], score=float(c["score"]))
+                        for c in obj["candidates"]
+                    )
+                    prediction = LinkedPrediction(
+                        doc_id=obj["doc_id"],
+                        mention_index=int(obj["mention_index"]),
+                        gold=obj["gold"],
+                        candidates=candidates,
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
+                predictions.append(prediction)
+    except UnicodeDecodeError:
+        line_no, reason = locate_invalid_utf8(src)
+        raise MalformedPredictionsError(f"{src}:{line_no}: {reason}") from None
     return predictions

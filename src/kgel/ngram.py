@@ -17,10 +17,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Collection, Iterable, Sequence, TextIO
 
 from .errors import EmptyCorpusError, MalformedModelError
-from .ingest import Document
+from .ingest import Document, locate_invalid_utf8
 from .kg import KnowledgeGraph
 from .similarity import select_target_synonym
 from .synthesis import BOS, EOS
@@ -47,6 +47,13 @@ class NGramModel:
     def score_next(self, prefix: Sequence[str], candidates: set[str]) -> dict[str, float]:
         """Add-one smoothed log P(token | last order-1 prefix tokens). An
         unseen context degrades to the uniform log(1/V)."""
+        default, observed = self.score_sparse(prefix, candidates)
+        return {token: observed.get(token, default) for token in candidates}
+
+    def score_sparse(self, prefix: Sequence[str], candidates: Collection[str]) -> tuple[float, dict[str, float]]:
+        """:meth:`score_next` as ``(default, {token: log prob})``: only the
+        candidates counted after this context are listed; every other one
+        scores ``default``, the add-one value for a zero count."""
         if not candidates:
             raise ValueError("candidates must be non-empty")
         if self.order == 1:
@@ -54,12 +61,16 @@ class NGramModel:
         else:
             context = tuple(prefix[-(self.order - 1):])
         counter = self.counts.get(context)
-        total = self.totals.get(context, 0)
-        denom = total + self.vocab_size
+        denom = self.totals.get(context, 0) + self.vocab_size
         if counter is None:
-            logp = -math.log(denom)
-            return {token: logp for token in candidates}
-        return {token: math.log((counter[token] + 1) / denom) for token in candidates}
+            return -math.log(denom), {}
+        if len(counter) <= len(candidates):
+            seen = [(token, count) for token, count in counter.items() if token in candidates]
+        else:
+            seen = [(token, counter[token]) for token in candidates if token in counter]
+        # The default is the zero-count case of the formula below; written as
+        # -math.log(denom) it can differ in the last bit.
+        return math.log(1 / denom), {token: math.log((count + 1) / denom) for token, count in seen}
 
 
 def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
@@ -101,6 +112,9 @@ class MentionConditionedScorer:
     def score_next(self, prefix: Sequence[str], candidates: set[str]) -> dict[str, float]:
         return self.model.score_next(self.context + tuple(prefix), candidates)
 
+    def score_sparse(self, prefix: Sequence[str], candidates: Collection[str]) -> tuple[float, dict[str, float]]:
+        return self.model.score_sparse(self.context + tuple(prefix), candidates)
+
 
 def condition_on_mention(model: NGramModel, mention_surface: str) -> MentionConditionedScorer:
     return MentionConditionedScorer(model, tuple(tokenize(f"{BOS} {mention_surface} is")))
@@ -138,41 +152,48 @@ def save_model(model: NGramModel, fp: TextIO, *, config: dict | None = None) -> 
 
 def load_model(path: str | Path) -> NGramModel:
     src = Path(path)
-    with open(src, encoding="utf-8") as fp:
-        header = fp.readline().rstrip("\r\n")
-        if header.split("\t", 1)[0] != NGRAM_FORMAT:
-            raise MalformedModelError(f"{src}: not a {NGRAM_FORMAT} file")
-        try:
-            order = int(fp.readline().strip())
-            vocab_size = int(fp.readline().strip())
-        except ValueError as exc:
-            raise MalformedModelError(f"{src}: bad order/vocabulary header") from exc
-        if order < 1 or vocab_size < 1:
-            raise MalformedModelError(f"{src}: order and vocabulary size must be positive")
-        counts: dict[tuple[str, ...], Counter] = {}
-        totals: dict[tuple[str, ...], int] = {}
-        for line_no, raw in enumerate(fp, start=4):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedModelError(f"{src}:{line_no}: expected 3 tab-separated fields")
-            context = tuple(fields[0].split(" ")) if fields[0] else ()
-            if len(context) >= order:
-                raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
+    try:
+        with open(src, encoding="utf-8") as fp:
+            header, order_line, vocab_line = fp.readline(), fp.readline(), fp.readline()
+            if header.rstrip("\r\n").split("\t", 1)[0] != NGRAM_FORMAT:
+                raise MalformedModelError(f"{src}: not a {NGRAM_FORMAT} file")
             try:
-                count = int(fields[2])
+                order = int(order_line.strip())
+                vocab_size = int(vocab_line.strip())
             except ValueError as exc:
-                raise MalformedModelError(f"{src}:{line_no}: bad count") from exc
-            if count < 1:
-                raise MalformedModelError(f"{src}:{line_no}: counts must be positive")
-            counter = counts.get(context)
-            if counter is None:
-                counter = counts[context] = Counter()
-                totals[context] = 0
-            counter[fields[1]] += count
-            totals[context] += count
+                raise MalformedModelError(f"{src}: bad order/vocabulary header") from exc
+            if order < 1 or vocab_size < 1:
+                raise MalformedModelError(f"{src}: order and vocabulary size must be positive")
+            counts: dict[tuple[str, ...], Counter] = {}
+            totals: dict[tuple[str, ...], int] = {}
+            for line_no, raw in enumerate(fp, start=4):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise MalformedModelError(f"{src}:{line_no}: expected 3 tab-separated fields")
+                context = tuple(fields[0].split(" ")) if fields[0] else ()
+                if len(context) >= order:
+                    raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
+                try:
+                    count = int(fields[2])
+                except ValueError as exc:
+                    raise MalformedModelError(f"{src}:{line_no}: bad count") from exc
+                if count < 1:
+                    raise MalformedModelError(f"{src}:{line_no}: counts must be positive")
+                counter = counts.get(context)
+                if counter is None:
+                    counter = counts[context] = Counter()
+                    totals[context] = 0
+                token = fields[1]
+                if token in counter:
+                    raise MalformedModelError(f"{src}:{line_no}: duplicate row for context {fields[0]!r}, token {token!r}")
+                counter[token] = count
+                totals[context] += count
+    except UnicodeDecodeError:
+        line_no, reason = locate_invalid_utf8(src)
+        raise MalformedModelError(f"{src}:{line_no}: {reason}") from None
     vocab = frozenset(counts.get((), Counter()))
     if len(vocab) != vocab_size:
         raise MalformedModelError(f"{src}: vocabulary size {vocab_size} does not match rows ({len(vocab)})")

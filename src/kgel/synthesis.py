@@ -30,6 +30,7 @@ from .errors import (
     SpecialTokenError,
     UnknownSynonymError,
 )
+from .ingest import locate_invalid_utf8
 from .kg import Entity, EntityId, KnowledgeGraph, Triple
 
 BOS = "[BOS]"
@@ -257,20 +258,23 @@ def write_corpus(samples: Iterable[TrainingSample], fp: TextIO, *, config: dict 
 def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
     """Read a corpus file, skipping the header record if present."""
     src = Path(path)
-    with open(src, encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(src, line_no, f"invalid JSON: {exc.msg}") from exc
-            if isinstance(obj, dict) and "kgel" in obj:
-                continue
-            if not isinstance(obj, dict) or set(obj) != {"source", "target", "kind", "concept"}:
-                raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
-            yield TrainingSample(obj["source"], obj["target"], obj["kind"], obj["concept"])
+    try:
+        with open(src, encoding="utf-8") as fp:
+            for line_no, raw in enumerate(fp, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedLineError(src, line_no, f"invalid JSON: {exc.msg}") from exc
+                if isinstance(obj, dict) and "kgel" in obj:
+                    continue
+                if not isinstance(obj, dict) or set(obj) != {"source", "target", "kind", "concept"}:
+                    raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
+                yield TrainingSample(obj["source"], obj["target"], obj["kind"], obj["concept"])
+    except UnicodeDecodeError:
+        raise MalformedLineError(src, *locate_invalid_utf8(src)) from None
 
 
 def corpus_targets(path: str | Path) -> list[str]:

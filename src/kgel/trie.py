@@ -3,13 +3,20 @@
 The trie defines the legal output space: a decode step may only emit a token
 that extends some registered surface form. Scorers are pluggable; anything
 with a ``score_next(prefix, candidates) -> {token: log prob}`` method works.
+A scorer may also offer ``score_sparse(prefix, candidates) -> (default,
+{token: log prob})``: the candidates it has observed get their own score and
+every other candidate takes ``default``. Search then materialises only the
+observed children plus the first ``beam_width`` unobserved ones in token
+order, which is exact because equal scores are ranked by token sequence.
 Scores must be finite; hard exclusion is expressed by the trie itself.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from itertools import islice
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from .kg import KnowledgeGraph
@@ -31,8 +38,26 @@ class UniformScorer:
         logp = -math.log(len(candidates))
         return {token: logp for token in candidates}
 
+    def score_sparse(self, prefix: Sequence[str], candidates: Collection[str]) -> tuple[float, dict[str, float]]:
+        return -math.log(len(candidates)), {}
+
+
+def _dense(scorer: Scorer) -> Callable[[Sequence[str], Collection[str]], tuple[float, Mapping[str, float]]]:
+    """``score_sparse`` for a scorer that only has ``score_next``: every
+    candidate is observed, so the default is never used."""
+
+    def score_sparse(prefix: Sequence[str], candidates: Collection[str]) -> tuple[float, Mapping[str, float]]:
+        scores = scorer.score_next(prefix, set(candidates))
+        if scores.keys() != candidates:
+            raise ValueError("scorer did not cover exactly the candidate set")
+        return 0.0, scores
+
+    return score_sparse
+
 
 class _Node:
+    """``children`` iterates in sorted token order once the trie is built."""
+
     __slots__ = ("children", "entity_ids")
 
     def __init__(self):
@@ -60,6 +85,12 @@ class TokenTrie:
             if not tokens:
                 raise EmptySurfaceError(f"surface {surface!r} normalizes to zero tokens")
             trie._insert(tokens, surface_owners[surface])
+        stack = [trie._root]
+        while stack:
+            node = stack.pop()
+            if len(node.children) > 1:
+                node.children = dict(sorted(node.children.items()))
+            stack.extend(node.children.values())
         return trie
 
     def _insert(self, tokens: Sequence[str], owners: Iterable[str]) -> None:
@@ -107,13 +138,13 @@ class TokenTrie:
     def iter_dump(self) -> Iterator[str]:
         """Preorder dump, children in sorted token order:
         ``depth<TAB>token<TAB>terminal<TAB>payload-csv`` (root omitted)."""
-        stack = [(1, token, self._root.children[token]) for token in sorted(self._root.children, reverse=True)]
+        stack = [(1, token, child) for token, child in reversed(self._root.children.items())]
         while stack:
             depth, token, node = stack.pop()
             terminal = "1" if node.entity_ids else "0"
             yield f"{depth}\t{token}\t{terminal}\t{','.join(node.entity_ids)}"
-            for child_token in sorted(node.children, reverse=True):
-                stack.append((depth + 1, child_token, node.children[child_token]))
+            for child_token, child in reversed(node.children.items()):
+                stack.append((depth + 1, child_token, child))
 
     def dump(self) -> str:
         return "".join(line + "\n" for line in self.iter_dump())
@@ -147,8 +178,11 @@ def constrained_beam_search(
     expanding if the node has children). Hypotheses are ranked by descending
     score, ties broken lexicographically by token sequence. ``max_len``
     defaults to the trie depth, which guarantees completion on a non-empty
-    trie. Raises NoHypothesisError when nothing completes and
-    NonFiniteScoreError when the scorer returns NaN or an infinity.
+    trie. ``trace`` sees every expansion the search materialises, with its
+    prefix and cumulative score. Raises NoHypothesisError when nothing
+    completes, NonFiniteScoreError when the scorer returns NaN or an infinity,
+    and ValueError when it scores a token that is not a candidate (or, for a
+    scorer with only ``score_next``, misses one).
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -156,28 +190,35 @@ def constrained_beam_search(
         max_len = trie.max_depth
     if max_len < 1 and len(trie) > 0:
         raise ValueError("max_len must be >= 1")
+    score_sparse = getattr(scorer, "score_sparse", None) or _dense(scorer)
 
     beams: list[tuple[tuple[str, ...], float, _Node]] = [((), 0.0, trie._walk(()))]
     completed: list[tuple[tuple[str, ...], float]] = []
     for _ in range(max_len):
         expansions: list[tuple[tuple[str, ...], float, _Node]] = []
         for prefix, score, node in beams:
-            if not node.children:
+            children = node.children
+            if not children:
                 continue
-            step_scores = scorer.score_next(prefix, set(node.children))
-            if set(step_scores) != set(node.children):
-                raise ValueError("scorer did not cover exactly the candidate set")
-            if not all(map(math.isfinite, step_scores.values())):
+            default, observed = score_sparse(prefix, children.keys())
+            if not observed.keys() <= children.keys():
+                raise ValueError("scorer returned a token outside the candidate set")
+            if not (math.isfinite(default) and all(map(math.isfinite, observed.values()))):
                 raise NonFiniteScoreError(f"scorer returned a non-finite score after prefix {list(prefix)!r}")
-            for token in sorted(node.children):
-                candidate = (prefix + (token,), score + step_scores[token], node.children[token])
-                if trace is not None:
-                    trace(candidate[0], candidate[1])
-                expansions.append(candidate)
+            for token, logp in observed.items():
+                expansions.append((prefix + (token,), score + logp, children[token]))
+            # Unobserved children tie on score, so only the first beam_width
+            # of them in token order can reach the beam.
+            if len(observed) < len(children):
+                unobserved = (item for item in children.items() if item[0] not in observed)
+                for token, child in islice(unobserved, beam_width):
+                    expansions.append((prefix + (token,), score + default, child))
         if not expansions:
             break
-        expansions.sort(key=lambda item: (-item[1], item[0]))
-        beams = expansions[:beam_width]
+        if trace is not None:
+            for prefix, score, _ in expansions:
+                trace(prefix, score)
+        beams = heapq.nsmallest(beam_width, expansions, key=lambda item: (-item[1], item[0]))
         for prefix, score, node in beams:
             if node.entity_ids:
                 completed.append((prefix, score / len(prefix) if length_normalize else score))

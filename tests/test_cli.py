@@ -46,6 +46,27 @@ class TestTopLevel:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("reader", ["kg", "model", "predictions"])
+    def test_invalid_utf8_exits_2_with_file_and_line(self, capsys, tmp_path, reader):
+        kg_dir = tmp_path / "kg"
+        write_kg_dir(build_linkbench(3)[0], kg_dir)
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        if reader == "kg":
+            bad = kg_dir / "synonyms.tsv"
+            argv = ["ingest", "--kg", str(kg_dir)]
+        elif reader == "model":
+            bad = tmp_path / "model.tsv"
+            argv = ["link", "--kg", str(kg_dir), "--dataset", str(dataset), "--model", str(bad),
+                    "--out", str(tmp_path / "p.jsonl")]
+        else:
+            bad = tmp_path / "p.jsonl"
+            argv = ["evaluate", "--preds", str(bad)]
+        bad.write_bytes(b"C1000\tok\nC1001\tbad\xfe\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:2: invalid UTF-8 byte 0xfe" in err
+
 
 class TestIngestAndStats:
     def test_ingest_reports_stats(self, capsys):
@@ -115,6 +136,24 @@ class TestPipeline:
         run(capsys, *args, "--out", str(tmp_path / "one.jsonl"))
         run(capsys, *args, "--out", str(tmp_path / "again.jsonl"))
         assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
+
+    def test_link_reports_mentions_without_candidates(self, capsys, bench_dirs, tmp_path):
+        dataset = str(bench_dirs / "mentions.jsonl")
+        code, out, err = run(
+            capsys, "link", "--kg", str(bench_dirs / "kg"), "--dataset", dataset, "--out", str(tmp_path / "a.jsonl")
+        )
+        assert (code, out) == (0, "")
+        assert "linked 50 mentions" in err and "0 left without candidates" in err
+        # An empty KG gives an empty trie, on which every decode fails.
+        empty_kg = tmp_path / "kg"
+        empty_kg.mkdir()
+        for name in ("concepts.tsv", "synonyms.tsv", "relations.tsv", "triples.tsv"):
+            (empty_kg / name).write_text("", encoding="utf-8")
+        code, out, err = run(
+            capsys, "link", "--kg", str(empty_kg), "--dataset", dataset, "--out", str(tmp_path / "b.jsonl")
+        )
+        assert (code, out) == (0, "")
+        assert "linked 50 mentions" in err and "50 left without candidates" in err
 
     def test_uniform_scorer_when_no_model(self, capsys, bench_dirs, tmp_path):
         code, _, _ = run(

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import TOY_DATASET, TOY_KG_DIR
 
 from kgel.errors import (
     DanglingEntityError,
+    KgelError,
     MalformedLineError,
     MissingFileError,
     OverlappingMentionsError,
@@ -23,6 +24,21 @@ def write_kg_files(path, concepts="", synonyms="", relations="", triples="", def
     (path / "triples.tsv").write_text(triples, encoding="utf-8")
     if definitions is not None:
         (path / "definitions.tsv").write_text(definitions, encoding="utf-8")
+
+
+# Two valid lines per KG file.
+VALID_KG_BYTES = {
+    "concepts.tsv": b"C1\ta\nC2\tb\n",
+    "synonyms.tsv": b"C1\tx\nC2\ty\n",
+    "definitions.tsv": b"C1\td\nC2\te\n",
+    "relations.tsv": b"r\tx\ns\ty\n",
+    "triples.tsv": b"C1\tr\tC2\nC2\ts\tC1\n",
+}
+
+
+def write_kg_bytes(path, overrides):
+    for name, data in {**VALID_KG_BYTES, **overrides}.items():
+        (path / name).write_bytes(data)
 
 
 class TestParseKgDir:
@@ -79,6 +95,49 @@ class TestParseKgDir:
         write_kg_files(tmp_path, concepts="C1\ta\n", definitions="C1\tx\nC1\ty\n")
         with pytest.raises(MalformedLineError):
             parse_kg_dir(tmp_path)
+
+    def test_invalid_concept_reports_its_line(self, tmp_path, monkeypatch):
+        # No TSV line reaches a rejection in Entity.make (the reader already
+        # splits on every character it refuses), so inject one.
+        make = Entity.make
+
+        def failing(cls, id, *args, **kwargs):
+            if id == "C2":
+                raise ValueError("rejected")
+            return make(id, *args, **kwargs)
+
+        monkeypatch.setattr(Entity, "make", classmethod(failing))
+        write_kg_files(tmp_path, concepts="C1\ta\nC2\tb\nC3\tc\n")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_kg_dir(tmp_path)
+        assert exc.value.line_no == 2
+        assert "concepts.tsv:2: invalid concept 'C2'" in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(VALID_KG_BYTES))
+    def test_invalid_utf8_reports_file_and_line(self, tmp_path, name):
+        first, second = VALID_KG_BYTES[name].splitlines()
+        write_kg_bytes(tmp_path, {name: first + b"\n" + second + b"\xff\n"})
+        with pytest.raises(MalformedLineError) as exc:
+            parse_kg_dir(tmp_path)
+        assert exc.value.path.endswith(name)
+        assert exc.value.line_no == 2
+        assert "invalid UTF-8 byte 0xff" in exc.value.reason
+
+    def test_invalid_utf8_line_counts_every_line_ending(self, tmp_path):
+        write_kg_bytes(tmp_path, {"concepts.tsv": b"C1\ta\rC2\tb\r\nC3\tc\nC4\t\xe2\x82\n"})
+        with pytest.raises(MalformedLineError) as exc:
+            parse_kg_dir(tmp_path)
+        assert exc.value.line_no == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(VALID_KG_BYTES)), data=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_kgel_errors(self, tmp_path_factory, name, data):
+        path = tmp_path_factory.mktemp("kg")
+        write_kg_bytes(path, {name: data})
+        try:
+            parse_kg_dir(path)
+        except KgelError:
+            pass
 
     def test_repeated_preferred_name_in_synonyms_is_dropped(self, tmp_path):
         write_kg_files(tmp_path, concepts="C1\tAlpha\n", synonyms="C1\talpha\nC1\tbeta\n")
@@ -195,6 +254,24 @@ class TestParseDataset:
         with pytest.raises(MalformedLineError) as exc:
             parse_dataset(self.write(tmp_path, "{not json"))
         assert exc.value.line_no == 1
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes((doc_line() + "\n" + doc_line("d2") + "\n").encode("utf-8") + b'{"doc_id": "\xc0\xaf"}\n')
+        with pytest.raises(MalformedLineError) as exc:
+            parse_dataset(path)
+        assert exc.value.line_no == 3
+        assert "invalid UTF-8" in exc.value.reason
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.booleans(), data=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_kgel_errors(self, tmp_path_factory, prefix, data):
+        path = tmp_path_factory.mktemp("data") / "data.jsonl"
+        path.write_bytes(((doc_line() + "\n").encode("utf-8") if prefix else b"") + data)
+        try:
+            parse_dataset(path)
+        except KgelError:
+            pass
 
     def test_boolean_offset_rejected(self, tmp_path):
         path = self.write(tmp_path, doc_line(mentions=[{"start": True, "end": 2, "surface": "ab", "gold": "C1"}]))

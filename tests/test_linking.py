@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgel.ingest import Mention
 from kgel.kg import Entity, build_kg
@@ -12,7 +13,7 @@ from kgel.linking import (
     read_predictions,
     write_predictions,
 )
-from kgel.errors import MalformedPredictionsError
+from kgel.errors import KgelError, MalformedPredictionsError
 from kgel.ngram import condition_on_mention, finetune_targets, train
 from kgel.trie import TokenTrie, UniformScorer, build_trie
 from kgel.text import normalize
@@ -173,3 +174,19 @@ class TestPredictionsIO:
         path.write_text('{"doc_id": "d", "gold": "C1"}\n', encoding="utf-8")
         with pytest.raises(MalformedPredictionsError):
             read_predictions(path)
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b'{"kgel": {}}\n{"doc_id": "d\xff", "gold": "C1"}\n')
+        with pytest.raises(MalformedPredictionsError, match=r"preds\.jsonl:2: invalid UTF-8 byte 0xff"):
+            read_predictions(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_kgel_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("preds") / "preds.jsonl"
+        path.write_bytes(data)
+        try:
+            read_predictions(path)
+        except KgelError:
+            pass

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgel.errors import EmptyCorpusError, MalformedModelError
+from kgel.errors import EmptyCorpusError, KgelError, MalformedModelError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
     MentionConditionedScorer,
@@ -103,6 +104,24 @@ class TestScoreNext:
         model = train(["[BOS] a [EOS]"], order=2)
         with pytest.raises(ValueError):
             model.score_next(["a"], set())
+
+    def test_pinned_to_add_one_formulas(self):
+        model = train(["[BOS] a b [EOS]", "[BOS] a c [EOS]", "[BOS] a d e [EOS]"], order=2)
+        assert model.vocab_size == 7 and model.totals[("a",)] == 3
+        # For both denominators log(1/d) and -log(d) differ in the last bit,
+        # so an exchanged default changes the scores compared below.
+        assert math.log(1 / 10) != -math.log(10) and math.log(1 / 7) != -math.log(7)
+        counter = model.counts[("a",)]
+        candidates = {"b", "e", "[eos]"}
+        assert model.score_next(["a"], candidates) == {t: math.log((counter[t] + 1) / 10) for t in candidates}
+        assert model.score_next(["zzz"], candidates) == {t: -math.log(7) for t in candidates}
+
+    def test_sparse_lists_only_observed_candidates(self):
+        model = train(["[BOS] a b [EOS]", "[BOS] a c [EOS]"], order=2)
+        default, observed = model.score_sparse(["a"], {"b", "d", "[eos]"})
+        assert observed == {"b": math.log(2 / 7)}
+        assert default == math.log(1 / 7)
+        assert model.score_sparse(["zzz"], {"b"}) == (-math.log(5), {})
 
 
 class TestConditioning:
@@ -223,3 +242,28 @@ class TestModelIO:
         path.write_text("kgel-ngram-v1\n2\n5\n\ta\t1\n", encoding="utf-8")
         with pytest.raises(MalformedModelError):
             load_model(path)
+
+    def test_rejects_duplicate_row(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("kgel-ngram-v1\n2\n2\n\ta\t1\n\tb\t2\na\tb\t1\n\tb\t2\n", encoding="utf-8")
+        with pytest.raises(MalformedModelError, match=r"dup\.tsv:7: duplicate"):
+            load_model(path)
+
+    @pytest.mark.parametrize("line_no", [1, 2, 5])
+    def test_invalid_utf8_reports_line(self, tmp_path, line_no):
+        lines = [b"kgel-ngram-v1", b"2", b"2", b"\ta\t1", b"\tb\t2", b"a\tb\t1"]
+        lines[line_no - 1] += b"\xc3("
+        path = tmp_path / "model.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MalformedModelError, match=rf"model\.tsv:{line_no}: invalid UTF-8"):
+            load_model(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.binary(max_size=200), header=st.booleans())
+    def test_arbitrary_bytes_raise_only_kgel_errors(self, tmp_path_factory, body, header):
+        path = tmp_path_factory.mktemp("fuzz") / "model.tsv"
+        path.write_bytes((b"kgel-ngram-v1\n2\n2\n" if header else b"") + body)
+        try:
+            load_model(path)
+        except KgelError:
+            pass

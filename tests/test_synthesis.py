@@ -2,8 +2,9 @@ import io
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgel.errors import NoTriplesError, SpecialTokenError, UnknownSynonymError
+from kgel.errors import KgelError, MalformedLineError, NoTriplesError, SpecialTokenError, UnknownSynonymError
 from kgel.kg import Entity, Relation, Triple, build_kg
 from kgel.synthesis import (
     make_source,
@@ -333,3 +334,24 @@ class TestCorpusIO:
         path.write_text('{"source": "x", "target": "y"}\n', encoding="utf-8")
         with pytest.raises(MalformedLineError):
             list(read_corpus(path))
+
+    def test_invalid_utf8_reports_line(self, toy_kg, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8") as fp:
+            write_corpus(list(synthesize_corpus(toy_kg, "synonym", seed=1))[:2], fp, config={"seed": 1})
+        with open(path, "ab") as fp:
+            fp.write(b'{"source": "\xed\xa0\x80"}\n')
+        with pytest.raises(MalformedLineError) as exc:
+            list(read_corpus(path))
+        assert exc.value.line_no == 4
+        assert "invalid UTF-8" in exc.value.reason
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_kgel_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        path.write_bytes(data)
+        try:
+            list(read_corpus(path))
+        except KgelError:
+            pass

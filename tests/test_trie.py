@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import HashScorer, enumerate_hypotheses, random_surface_set
 
 from kgel.errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from kgel.kg import Entity, build_kg
+from kgel.ngram import condition_on_mention, train
 from kgel.trie import TokenTrie, UniformScorer, build_trie, constrained_beam_search
 
 
@@ -85,6 +87,16 @@ class TestDump:
     def test_dump_is_deterministic(self, toy_kg):
         assert build_trie(toy_kg).dump() == build_trie(toy_kg).dump()
 
+    def test_dump_sorts_children_inserted_out_of_order(self):
+        # "B c" sorts before "a" as a surface but its first token after "a"
+        trie = TokenTrie.from_surfaces({"B c": ["C0"], "a": ["C1"], "B A": ["C2"]})
+        assert trie.dump().splitlines() == [
+            "1\ta\t1\tC1",
+            "1\tb\t0\t",
+            "2\ta\t1\tC2",
+            "2\tc\t1\tC0",
+        ]
+
 
 class TestBeamSearch:
     def test_uniform_scorer_lexicographic(self):
@@ -153,6 +165,30 @@ class TestBeamSearch:
         with pytest.raises(NonFiniteScoreError):
             constrained_beam_search(trie, Poisoned(), beam_width=3)
 
+    def test_sparse_scorer_token_outside_candidates_rejected(self):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"]})
+
+        class Stray:
+            def score_sparse(self, prefix, candidates):
+                return -1.0, {"a": -0.5, "zzz": -0.1}
+
+        with pytest.raises(ValueError):
+            constrained_beam_search(trie, Stray(), beam_width=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize("where", ["default", "observed"])
+    def test_sparse_non_finite_score_rejected(self, bad, where):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"], "c": ["C2"]})
+
+        class Poisoned:
+            def score_sparse(self, prefix, candidates):
+                if where == "default":
+                    return bad, {"a": -1.0}
+                return -1.0, {"a": bad}
+
+        with pytest.raises(NonFiniteScoreError):
+            constrained_beam_search(trie, Poisoned(), beam_width=3)
+
     def test_length_normalization_option(self):
         trie = TokenTrie.from_surfaces({"a": ["C0"], "b b b": ["C1"]})
 
@@ -194,3 +230,46 @@ class TestOracleEquivalence:
             top = constrained_beam_search(trie, scorer, beam_width=width)[0][1]
             assert top >= best - 1e-12
             best = max(best, top)
+
+
+class DenseOnly:
+    """Exposes only ``score_next`` of the wrapped scorer, so search takes the
+    dense path and scores every trie child."""
+
+    def __init__(self, scorer):
+        self.score_next = scorer.score_next
+
+
+class TestSparseEquivalence:
+    """Sparse scoring must return exactly what scoring every child returns:
+    same hypotheses, same order, bit-identical scores."""
+
+    WORDS = [f"t{j}" for j in range(9)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.integers(1, 4),
+        width=st.integers(1, 8),
+        length_normalize=st.booleans(),
+        kind=st.sampled_from(["model", "conditioned", "uniform"]),
+    )
+    def test_sparse_equals_dense(self, seed, order, width, length_normalize, kind):
+        rng = random.Random(seed)
+        # Upper-casing some surfaces inserts trie children out of token order.
+        surfaces = [s.upper() if rng.random() < 0.3 else s for s in random_surface_set(rng, max_surfaces=60)]
+        trie = TokenTrie.from_surfaces({s: [f"E{i}"] for i, s in enumerate(surfaces)})
+        lines = [
+            "[BOS] " + " ".join(rng.choice(self.WORDS) for _ in range(rng.randint(1, 6))) + " [EOS]"
+            for _ in range(rng.randint(1, 30))
+        ]
+        model = train(lines, order)
+        if kind == "model":
+            scorer = model
+        elif kind == "conditioned":
+            scorer = condition_on_mention(model, " ".join(rng.sample(self.WORDS, rng.randint(0, 3))))
+        else:
+            scorer = UniformScorer()
+        sparse = constrained_beam_search(trie, scorer, width, length_normalize=length_normalize)
+        dense = constrained_beam_search(trie, DenseOnly(scorer), width, length_normalize=length_normalize)
+        assert sparse == dense
