@@ -82,6 +82,21 @@ def locate_invalid_utf8(path: str | Path) -> tuple[int, str]:
     return 0, "invalid UTF-8"
 
 
+def decode_json_line(line: str) -> object:
+    """``json.loads`` for one line of a JSON-lines input. Every way the line
+    can fail to decode raises ``ValueError`` whose message is the reason:
+    bad syntax, nesting deeper than the interpreter's recursion limit, or an
+    integer longer than ``sys.get_int_max_str_digits()`` allows."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: bool = False) -> list[str]:
     fields = line.split("\t", n_fields - 1) if greedy_last else line.split("\t")
     if len(fields) != n_fields:
@@ -233,9 +248,9 @@ def parse_dataset(path: str | Path) -> list[Document]:
         if not line.strip():
             raise MalformedLineError(src, line_no, "blank line")
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(src, line_no, f"invalid JSON: {exc.msg}") from exc
+            obj = decode_json_line(line)
+        except ValueError as exc:
+            raise MalformedLineError(src, line_no, str(exc)) from exc
         if not isinstance(obj, dict) or set(obj) != _DOC_KEYS:
             raise MalformedLineError(src, line_no, f"record keys must be exactly {sorted(_DOC_KEYS)}")
         if not isinstance(obj["doc_id"], str) or not isinstance(obj["text"], str):

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import KgelError, MalformedPredictionsError
-from .ingest import Document, Mention, locate_invalid_utf8
+from .ingest import Document, Mention, decode_json_line, locate_invalid_utf8
 from .kg import EntityId, KnowledgeGraph
 from .similarity import similarity
 from .text import normalize
@@ -156,9 +156,9 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedPredictionsError(f"{src}:{line_no}: invalid JSON: {exc.msg}") from exc
+                    obj = decode_json_line(line)
+                except ValueError as exc:
+                    raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
                 if isinstance(obj, dict) and "kgel" in obj:
                     continue
                 if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
@@ -174,7 +174,7 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
                         gold=obj["gold"],
                         candidates=candidates,
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
                 predictions.append(prediction)
     except UnicodeDecodeError:

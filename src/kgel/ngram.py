@@ -78,28 +78,24 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
     markers are ordinary tokens of the line)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    counts: dict[tuple[str, ...], Counter] = {}
-    totals: dict[tuple[str, ...], int] = {}
-    vocab: set[str] = set()
-    n_tokens = 0
+    unigrams: Counter = Counter()
+    counts: dict[tuple[str, ...], Counter] = {(): unigrams}
     for line in targets:
         tokens = tokenize(line)
-        if not tokens:
-            continue
-        n_tokens += len(tokens)
-        vocab.update(tokens)
-        for i, token in enumerate(tokens):
-            for length in range(min(order - 1, i) + 1):
-                context = tuple(tokens[i - length:i])
+        unigrams.update(tokens)
+        for length in range(1, min(order, len(tokens))):
+            # Every window of `length` tokens paired with the token after it.
+            for context, token in zip(zip(*[tokens[i:] for i in range(length)]), tokens[length:]):
                 counter = counts.get(context)
                 if counter is None:
                     counter = counts[context] = Counter()
-                    totals[context] = 0
-                counter[token] += 1
-                totals[context] += 1
-    if n_tokens == 0:
+                # dict.get, not counter[token], which for a missing token goes
+                # through the Python-level Counter.__missing__.
+                counter[token] = counter.get(token, 0) + 1
+    if not unigrams:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(vocab))
+    totals = {context: sum(counter.values()) for context, counter in counts.items()}
+    return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(unigrams))
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,11 @@ def load_model(path: str | Path) -> NGramModel:
             if order < 1 or vocab_size < 1:
                 raise MalformedModelError(f"{src}: order and vocabulary size must be positive")
             counts: dict[tuple[str, ...], Counter] = {}
-            totals: dict[tuple[str, ...], int] = {}
+            # save_model writes rows sorted by context, so the context field
+            # is split and looked up once per run of equal fields. Rows of a
+            # context that recurs after another still land in the same
+            # Counter, so duplicates are caught in any row order.
+            previous_field = None
             for line_no, raw in enumerate(fp, start=4):
                 line = raw.rstrip("\r\n")
                 if not line:
@@ -173,28 +173,29 @@ def load_model(path: str | Path) -> NGramModel:
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise MalformedModelError(f"{src}:{line_no}: expected 3 tab-separated fields")
-                context = tuple(fields[0].split(" ")) if fields[0] else ()
-                if len(context) >= order:
-                    raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
+                context_field, token, count_field = fields
+                if context_field != previous_field:
+                    context = tuple(context_field.split(" ")) if context_field else ()
+                    if len(context) >= order:
+                        raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
+                    counter = counts.get(context)
+                    if counter is None:
+                        counter = counts[context] = Counter()
+                    previous_field = context_field
                 try:
-                    count = int(fields[2])
+                    count = int(count_field)
                 except ValueError as exc:
                     raise MalformedModelError(f"{src}:{line_no}: bad count") from exc
                 if count < 1:
                     raise MalformedModelError(f"{src}:{line_no}: counts must be positive")
-                counter = counts.get(context)
-                if counter is None:
-                    counter = counts[context] = Counter()
-                    totals[context] = 0
-                token = fields[1]
                 if token in counter:
-                    raise MalformedModelError(f"{src}:{line_no}: duplicate row for context {fields[0]!r}, token {token!r}")
+                    raise MalformedModelError(f"{src}:{line_no}: duplicate row for context {context_field!r}, token {token!r}")
                 counter[token] = count
-                totals[context] += count
     except UnicodeDecodeError:
         line_no, reason = locate_invalid_utf8(src)
         raise MalformedModelError(f"{src}:{line_no}: {reason}") from None
     vocab = frozenset(counts.get((), Counter()))
     if len(vocab) != vocab_size:
         raise MalformedModelError(f"{src}: vocabulary size {vocab_size} does not match rows ({len(vocab)})")
+    totals = {context: sum(counter.values()) for context, counter in counts.items()}
     return NGramModel(order=order, counts=counts, totals=totals, vocab=vocab)

@@ -30,7 +30,7 @@ from .errors import (
     SpecialTokenError,
     UnknownSynonymError,
 )
-from .ingest import locate_invalid_utf8
+from .ingest import decode_json_line, locate_invalid_utf8
 from .kg import Entity, EntityId, KnowledgeGraph, Triple
 
 BOS = "[BOS]"
@@ -265,14 +265,17 @@ def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLineError(src, line_no, f"invalid JSON: {exc.msg}") from exc
+                    obj = decode_json_line(line)
+                except ValueError as exc:
+                    raise MalformedLineError(src, line_no, str(exc)) from exc
                 if isinstance(obj, dict) and "kgel" in obj:
                     continue
                 if not isinstance(obj, dict) or set(obj) != {"source", "target", "kind", "concept"}:
                     raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
-                yield TrainingSample(obj["source"], obj["target"], obj["kind"], obj["concept"])
+                source, target, kind, concept = obj["source"], obj["target"], obj["kind"], obj["concept"]
+                if not (isinstance(source, str) and isinstance(target, str) and isinstance(kind, str) and isinstance(concept, str)):
+                    raise MalformedLineError(src, line_no, "corpus record fields must be strings")
+                yield TrainingSample(source, target, kind, concept)
     except UnicodeDecodeError:
         raise MalformedLineError(src, *locate_invalid_utf8(src)) from None
 

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -66,6 +67,50 @@ class TestTopLevel:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert f"{bad}:2: invalid UTF-8 byte 0xfe" in err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("stats", "[" * 100_000),
+            ("stats", '{"doc_id": ' + "9" * 5_000 + "}"),
+            ("evaluate", '{"doc_id": "d", "mention_index": Infinity, "gold": "C1", "candidates": []}'),
+            ("train-scorer", '{"source": "a", "target": 5, "kind": "synonym", "concept": "C1"}'),
+        ],
+        ids=["deep_dataset", "long_int_dataset", "infinite_mention_index", "non_string_target"],
+    )
+    def test_undecodable_json_line_exits_2_with_file_and_line(self, capsys, tmp_path, command, line):
+        # Line 1 is valid: a document, or the header record of the others.
+        first = '{"doc_id": "d0", "text": "", "mentions": []}' if command == "stats" else '{"kgel": {}}'
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(first + "\n" + line + "\n", encoding="utf-8")
+        flag = {"stats": "--dataset", "evaluate": "--preds", "train-scorer": "--corpus"}[command]
+        argv = [command, flag, str(bad)] + (["--out", str(tmp_path / "m.tsv")] if command == "train-scorer" else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:2: " in err
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("expected", [0, 1, 2])
+    def test_restores_gc_state(self, capsys, tmp_path, enabled, expected):
+        argv = {
+            0: ["stats", "--dataset", str(TOY_DATASET)],
+            1: ["synthesize", "--kg", str(TOY_KG_DIR), "--cap", "0", "--out", str(tmp_path / "c.jsonl")],
+            2: ["stats", "--dataset", str(tmp_path / "nowhere.jsonl")],
+        }[expected]
+        was_enabled = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            code, _, _ = run(capsys, *argv)
+            assert code == expected
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestIngestAndStats:

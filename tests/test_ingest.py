@@ -255,6 +255,11 @@ class TestParseDataset:
             parse_dataset(self.write(tmp_path, "{not json"))
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("bad", ["[" * 100_000, '{"doc_id": ' + "9" * 5_000 + "}"], ids=["deep", "long_int"])
+    def test_undecodable_json_reports_line(self, tmp_path, bad):
+        with pytest.raises(MalformedLineError, match=r"data\.jsonl:2: invalid JSON"):
+            parse_dataset(self.write(tmp_path, doc_line(), bad))
+
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_bytes((doc_line() + "\n" + doc_line("d2") + "\n").encode("utf-8") + b'{"doc_id": "\xc0\xaf"}\n')

@@ -175,6 +175,23 @@ class TestPredictionsIO:
         with pytest.raises(MalformedPredictionsError):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[" * 100_000,
+            '{"mention_index": ' + "9" * 5_000 + "}",
+            '{"doc_id": "d", "mention_index": Infinity, "gold": "C1", "candidates": []}',
+            '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": '
+            '[{"surface": "a", "entity": "C1", "score": 1' + "0" * 400 + "}]}",
+        ],
+        ids=["deep", "long_int", "infinite_index", "score_over_float_range"],
+    )
+    def test_unconvertible_line_reports_line(self, tmp_path, bad):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"kgel": {}}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(MalformedPredictionsError, match=r"preds\.jsonl:2: "):
+            read_predictions(path)
+
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_bytes(b'{"kgel": {}}\n{"doc_id": "d\xff", "gold": "C1"}\n')

@@ -1,14 +1,16 @@
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgel.errors import EmptyCorpusError, KgelError, MalformedModelError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
     MentionConditionedScorer,
+    NGramModel,
     condition_on_mention,
     finetune_targets,
     load_model,
@@ -16,12 +18,68 @@ from kgel.ngram import (
     train,
 )
 from kgel.synthesis import synthesize_corpus
+from kgel.text import tokenize
 from kgel.trie import build_trie, constrained_beam_search
 
 from conftest import make_documents
 
 
+def reference_train(targets, order):
+    """The per-token, per-context-length counting loop that ``train`` used
+    before it counted whole windows at a time; its result is the reference."""
+    counts, totals, vocab, n_tokens = {}, {}, set(), 0
+    for line in targets:
+        tokens = tokenize(line)
+        if not tokens:
+            continue
+        n_tokens += len(tokens)
+        vocab.update(tokens)
+        for i, token in enumerate(tokens):
+            for length in range(min(order - 1, i) + 1):
+                context = tuple(tokens[i - length:i])
+                counter = counts.get(context)
+                if counter is None:
+                    counter = counts[context] = Counter()
+                    totals[context] = 0
+                counter[token] += 1
+                totals[context] += 1
+    if n_tokens == 0:
+        raise EmptyCorpusError("cannot train on an empty corpus")
+    return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(vocab))
+
+
+def dump(model):
+    buffer = io.StringIO()
+    save_model(model, buffer)
+    return buffer.getvalue()
+
+
+# Few distinct words in both cases (they fold together), the reserved
+# markers, blank and whitespace-only lines, and runs of separators.
+WORDS = st.sampled_from(["a", "A", "b", "bB", "BB", "ab", "[BOS]", "[eos]"])
+LINES = st.one_of(
+    st.sampled_from(["", "  ", "\t"]),
+    st.lists(WORDS, min_size=1, max_size=9).map(" ".join),
+    st.lists(WORDS, min_size=1, max_size=9).map(" \t ".join),
+)
+
+
 class TestTrain:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
+    def test_equals_reference_loop(self, lines, order):
+        try:
+            expected = reference_train(lines, order)
+        except EmptyCorpusError:
+            with pytest.raises(EmptyCorpusError):
+                train(iter(lines), order)
+            return
+        model = train(iter(lines), order)
+        assert model.counts == expected.counts
+        assert model.totals == expected.totals
+        assert model.vocab == expected.vocab
+        assert dump(model) == dump(expected)
+
     def test_single_observation(self):
         model = train(["[BOS] a b [EOS]"], order=2)
         assert model.counts[("a",)]["b"] == 1
@@ -188,18 +246,13 @@ class TestFinetuneTargets:
 
 
 class TestModelIO:
-    def roundtrip(self, model):
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        return buffer.getvalue()
-
     def test_bit_exact_round_trip(self, tmp_path):
         model = train(["[BOS] a b c [EOS]", "[BOS] c b a [EOS]", "[BOS] a is b [EOS]"], order=3)
         path = tmp_path / "model.tsv"
         with open(path, "w", encoding="utf-8") as fp:
             save_model(model, fp)
         reloaded = load_model(path)
-        assert self.roundtrip(reloaded) == path.read_text(encoding="utf-8")
+        assert dump(reloaded) == path.read_text(encoding="utf-8")
         assert reloaded == model
 
     def test_reloaded_model_scores_identically(self, tmp_path):
@@ -230,6 +283,20 @@ class TestModelIO:
             with open(path, "w", encoding="utf-8") as fp:
                 save_model(model, fp)
             assert load_model(path) == model
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5), rng=st.randoms(use_true_random=False))
+    def test_rows_load_in_any_order(self, tmp_path_factory, lines, order, rng):
+        """save_model writes rows grouped by context; a file whose contexts
+        recur after other contexts still loads to the same model."""
+        assume(any(tokenize(line) for line in lines))
+        model = train(lines, order)
+        text = dump(model).splitlines(keepends=True)
+        header, rows = text[:3], text[3:]
+        rng.shuffle(rows)
+        path = tmp_path_factory.mktemp("rows") / "model.tsv"
+        path.write_text("".join(header + rows), encoding="utf-8")
+        assert load_model(path) == model
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.tsv"

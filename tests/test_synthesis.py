@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import pytest
@@ -333,6 +334,21 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"source": "x", "target": "y"}\n', encoding="utf-8")
         with pytest.raises(MalformedLineError):
+            list(read_corpus(path))
+
+    @pytest.mark.parametrize("field", ["source", "target", "kind", "concept"])
+    def test_read_rejects_non_string_field(self, tmp_path, field):
+        record = {"source": "x", "target": "y", "kind": "synonym", "concept": "C1", field: 5}
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kgel": {}}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=r"bad\.jsonl:2: corpus record fields must be strings"):
+            list(read_corpus(path))
+
+    @pytest.mark.parametrize("bad", ["[" * 100_000, '{"target": ' + "9" * 5_000 + "}"], ids=["deep", "long_int"])
+    def test_undecodable_json_reports_line(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kgel": {}}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=r"bad\.jsonl:2: invalid JSON"):
             list(read_corpus(path))
 
     def test_invalid_utf8_reports_line(self, toy_kg, tmp_path):
