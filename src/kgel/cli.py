@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from . import __version__
 from .errors import KgelError
@@ -100,6 +103,28 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _open_output(path: str) -> TextIO:
+    """Open an ``--out`` artifact for writing as a new file.
+
+    Truncating a file whose pages are not yet on disk makes ext4 write them
+    out first (``auto_da_alloc``), and the process waits for that; unlinking
+    the old file lets the kernel drop its pages instead. Only a regular file
+    with no other hard link is unlinked. A symlink, a hard-linked file or a
+    non-regular file (``/dev/stdout``, a FIFO) is opened in place, as is a
+    file whose directory refuses the unlink.
+    """
+    try:
+        info = os.lstat(path)
+    except OSError:
+        info = None  # missing or unreachable: open() creates it or reports why
+    if info is not None and stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+        try:
+            os.unlink(path)
+        except PermissionError:
+            pass
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def cmd_ingest(args) -> int:
     kg = parse_kg_dir(args.kg)
     _info(f"loaded {len(kg.entities)} entities, {len(kg.relations)} relations, {len(kg.triples)} triples")
@@ -121,7 +146,7 @@ def cmd_synthesize(args) -> int:
     config.validate()
     kg = parse_kg_dir(args.kg)
     samples = synthesize_corpus(kg, args.mode, cap=args.cap, k=args.k, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+    with _open_output(args.out) as fp:
         count = write_corpus(samples, fp, config=config.to_dict())
     _info(f"wrote {count} samples to {args.out}")
     return 0
@@ -147,7 +172,7 @@ def cmd_train_scorer(args) -> int:
         docs = parse_dataset(args.dataset)
         targets.extend(finetune_targets(kg, docs))
     model = train(targets, args.order)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+    with _open_output(args.out) as fp:
         save_model(model, fp, config=config.to_dict())
     _info(f"trained order-{model.order} model over {model.vocab_size} token vocabulary")
     return 0
@@ -170,7 +195,7 @@ def cmd_link(args) -> int:
         uniform = UniformScorer()
         scorer_factory = lambda surface: uniform
     predictions = link_dataset(kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+    with _open_output(args.out) as fp:
         count = write_predictions(predictions, fp, config=config.to_dict())
     failed = sum(1 for prediction in predictions if not prediction.candidates)
     _info(f"linked {count} mentions to {args.out}; {failed} left without candidates")

@@ -6,6 +6,7 @@ to the owner most similar to the mention, then to the smallest id."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
@@ -146,6 +147,27 @@ def write_predictions(predictions: Iterable[LinkedPrediction], fp: TextIO, *, co
     return count
 
 
+def _prediction_from_record(obj: dict) -> LinkedPrediction:
+    """Build a prediction from a decoded record, checking the type of every field."""
+    doc_id, index, gold, records = obj["doc_id"], obj["mention_index"], obj["gold"], obj["candidates"]
+    if not (isinstance(doc_id, str) and isinstance(gold, str)):
+        raise TypeError("doc_id and gold must be strings")
+    # bool is an int subclass, and int() would truncate a float
+    if type(index) is not int:
+        raise TypeError(f"mention_index must be an integer, got {index!r}")
+    if not isinstance(records, list):
+        raise TypeError("candidates must be a list")
+    candidates = []
+    for c in records:
+        surface, entity, score = c["surface"], c["entity"], c["score"]
+        if not (isinstance(surface, str) and isinstance(entity, str)):
+            raise TypeError("candidate surface and entity must be strings")
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+            raise ValueError(f"candidate score must be a finite number, got {score!r}")
+        candidates.append(Candidate(surface=surface, entity=entity, score=float(score)))
+    return LinkedPrediction(doc_id=doc_id, mention_index=index, gold=gold, candidates=tuple(candidates))
+
+
 def read_predictions(path: str | Path) -> list[LinkedPrediction]:
     src = Path(path)
     predictions = []
@@ -164,16 +186,7 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
                 if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
                     raise MalformedPredictionsError(f"{src}:{line_no}: unexpected record keys")
                 try:
-                    candidates = tuple(
-                        Candidate(surface=c["surface"], entity=c["entity"], score=float(c["score"]))
-                        for c in obj["candidates"]
-                    )
-                    prediction = LinkedPrediction(
-                        doc_id=obj["doc_id"],
-                        mention_index=int(obj["mention_index"]),
-                        gold=obj["gold"],
-                        candidates=candidates,
-                    )
+                    prediction = _prediction_from_record(obj)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
                 predictions.append(prediction)

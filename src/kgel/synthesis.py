@@ -225,10 +225,16 @@ def synthesize_corpus(
 
     ``combined`` emits an entity's synonym samples followed by its
     line-by-line triple samples. Each entity draws from its own derived seed.
+    ``mode`` and the KG's reserved tokens are checked here, before the first
+    sample is asked for, so a caller can fail before it opens its output.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     check_special_tokens(kg)
+    return _samples(kg, mode, cap, k, seed)
+
+
+def _samples(kg: KnowledgeGraph, mode: str, cap: int, k: int, seed: int) -> Iterator[TrainingSample]:
     for entity_id in sorted(kg.entities):
         entity = kg.entities[entity_id]
         entity_seed = derive_seed(seed, entity_id)

@@ -1,10 +1,17 @@
 import gc
 import json
+import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import TOY_DATASET, TOY_KG_DIR, build_linkbench
 
+import kgel
 from kgel.cli import main
 from kgel.ingest import write_dataset, write_kg_dir
 
@@ -32,6 +39,15 @@ class TestTopLevel:
         assert "kgel 0.1.0" in out
         assert "kgel-ngram-v1" in out
         assert "backend" not in out
+
+    def test_python_dash_m_kgel(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(kgel.__file__).parents[1])}
+        outputs = [
+            subprocess.run([sys.executable, "-m", module, "--version"], capture_output=True, text=True, env=env)
+            for module in ("kgel", "kgel.cli")
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout != ""
 
     def test_unknown_flag_exits_1(self, capsys):
         code, out, err = run(capsys, "ingest", "--bogus")
@@ -86,6 +102,23 @@ class TestTopLevel:
         flag = {"stats": "--dataset", "evaluate": "--preds", "train-scorer": "--corpus"}[command]
         argv = [command, flag, str(bad)] + (["--out", str(tmp_path / "m.tsv")] if command == "train-scorer" else [])
         code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:2: " in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"doc_id": "d", "mention_index": 0, "gold": ["C1"], "candidates": []}',
+            '{"doc_id": "d", "mention_index": 1.7, "gold": "C1", "candidates": []}',
+            '{"doc_id": "d", "mention_index": 0, "gold": "C1", '
+            '"candidates": [{"surface": "a", "entity": "C1", "score": NaN}]}',
+        ],
+        ids=["list_gold", "float_mention_index", "nan_score"],
+    )
+    def test_predictions_field_of_wrong_type_exits_2(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"kgel": {}}\n' + line + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--preds", str(bad), "--kg", str(TOY_KG_DIR))
         assert code == 2
         assert f"{bad}:2: " in err
 
@@ -148,6 +181,84 @@ class TestSynthesize:
             capsys, "synthesize", "--kg", str(TOY_KG_DIR), "--cap", "0", "--out", str(tmp_path / "x.jsonl")
         )
         assert code == 1
+
+
+class TestOutput:
+    """``--out`` replaces an existing regular file with a new file and writes
+    through symlinks, hard links and device files."""
+
+    COMMANDS = {
+        "synthesize": ["synthesize", "--kg", str(TOY_KG_DIR), "--seed", "3"],
+        "train-scorer": ["train-scorer", "--dataset", str(TOY_DATASET), "--kg", str(TOY_KG_DIR)],
+        "link": ["link", "--kg", str(TOY_KG_DIR), "--dataset", str(TOY_DATASET)],
+    }
+    STALE = b"an artifact of an earlier run\n" * 1000
+
+    def fresh(self, capsys, tmp_path, command="synthesize"):
+        path = tmp_path / f"fresh-{command}"
+        assert run(capsys, *self.COMMANDS[command], "--out", str(path))[0] == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rerun_writes_a_new_file(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        out.write_bytes(self.STALE)
+        with open(out, "rb") as old:
+            assert run(capsys, *self.COMMANDS[command], "--out", str(out))[0] == 0
+            assert old.read() == self.STALE
+        assert out.read_bytes() == self.fresh(capsys, tmp_path, command)
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(self.STALE)
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert run(capsys, *self.COMMANDS["synthesize"], "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh(capsys, tmp_path)
+
+    def test_hard_link_sees_new_bytes(self, capsys, tmp_path):
+        out, other = tmp_path / "out", tmp_path / "other"
+        out.write_bytes(self.STALE)
+        os.link(out, other)
+        assert run(capsys, *self.COMMANDS["synthesize"], "--out", str(out))[0] == 0
+        assert os.path.samefile(out, other)
+        assert other.read_bytes() == self.fresh(capsys, tmp_path)
+
+    def test_dev_null(self, capsys):
+        code, _, err = run(capsys, *self.COMMANDS["synthesize"], "--out", os.devnull)
+        assert code == 0
+        assert f"to {os.devnull}" in err
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_unlink_refused_falls_back_to_writing_in_place(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.write_bytes(self.STALE)
+        inode = out.stat().st_ino
+        refused = []
+
+        def refuse(path, *args, **kwargs):
+            refused.append(path)
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert run(capsys, *self.COMMANDS["synthesize"], "--out", str(out))[0] == 0
+        monkeypatch.undo()
+        assert refused == [str(out)]
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == self.fresh(capsys, tmp_path)
+
+    def test_failed_synthesize_leaves_old_artifact_alone(self, capsys, tmp_path):
+        kg_dir = tmp_path / "kg"
+        shutil.copytree(TOY_KG_DIR, kg_dir)
+        with open(kg_dir / "synonyms.tsv", "a", encoding="utf-8") as fp:
+            fp.write("C0001\tthe [bos] thing\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(self.STALE)
+        code, _, err = run(capsys, "synthesize", "--kg", str(kg_dir), "--out", str(out))
+        assert code == 2
+        assert "[bos]" in err
+        assert out.read_bytes() == self.STALE
 
 
 class TestPipeline:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from kgel.ingest import Mention
 from kgel.kg import Entity, build_kg
 from kgel.linking import (
+    Candidate,
     LinkedPrediction,
     build_lookup,
     link_dataset,
@@ -191,6 +192,52 @@ class TestPredictionsIO:
         path.write_text('{"kgel": {}}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(MalformedPredictionsError, match=r"preds\.jsonl:2: "):
             read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("doc_id", "3"),
+            ("gold", '["C1"]'),
+            ("surface", "5"),
+            ("entity", "5"),
+            ("mention_index", "1.7"),
+            ("mention_index", "true"),
+            ("mention_index", '"0"'),
+            ("score", "true"),
+            ("score", "NaN"),
+            ("score", "-Infinity"),
+            ("score", '"0.5"'),
+            ("candidates", "{}"),
+        ],
+        ids=[
+            "int_doc_id", "list_gold", "int_surface", "int_entity", "float_index", "bool_index", "string_index",
+            "bool_score", "nan_score", "infinite_score", "string_score", "candidates_not_a_list",
+        ],
+    )
+    def test_field_of_wrong_type_reports_line(self, tmp_path, field, value):
+        fields = {"doc_id": '"d"', "mention_index": "0", "gold": '"C1"', "surface": '"a"', "entity": '"C1"',
+                  "score": "-0.5", field: value}
+        candidates = fields.get("candidates") or (
+            '[{"surface": %(surface)s, "entity": %(entity)s, "score": %(score)s}]' % fields
+        )
+        line = '{"doc_id": %s, "mention_index": %s, "gold": %s, "candidates": %s}' % (
+            fields["doc_id"], fields["mention_index"], fields["gold"], candidates,
+        )
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"kgel": {}}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedPredictionsError, match=r"preds\.jsonl:2: "):
+            read_predictions(path)
+
+    def test_integer_score_is_read_as_float(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            '{"doc_id": "d", "mention_index": 0, "gold": "C1", '
+            '"candidates": [{"surface": "a", "entity": "C1", "score": -2}]}\n',
+            encoding="utf-8",
+        )
+        (prediction,) = read_predictions(path)
+        assert prediction.candidates == (Candidate(surface="a", entity="C1", score=-2.0),)
+        assert type(prediction.candidates[0].score) is float
 
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"

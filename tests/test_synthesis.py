@@ -280,6 +280,13 @@ class TestSynthesizeCorpus:
         with pytest.raises(ValueError):
             list(synthesize_corpus(toy_kg, "everything"))
 
+    def test_checks_run_at_call_before_any_sample(self, toy_kg):
+        # the CLI opens --out only after this call returns
+        with pytest.raises(ValueError):
+            synthesize_corpus(toy_kg, "everything")
+        with pytest.raises(SpecialTokenError):
+            synthesize_corpus(build_kg([Entity.make("A", "[bos] thing")], [], []), "synonym")
+
 
 class TestTemplateConformance:
     def assert_well_formed(self, sample):
