@@ -36,7 +36,9 @@ from .linking import (
     write_predictions,
 )
 from .ngram import NGramModel, condition_on_mention, finetune_targets, load_model, save_model
-from .similarity import edit_distance, select_target_synonym, similarity
+# the similarity function stays at kgel.similarity.similarity: re-exporting it
+# here would shadow the submodule of the same name
+from .similarity import edit_distance, select_target_synonym
 from .synthesis import (
     TrainingSample,
     make_source,
@@ -94,7 +96,6 @@ __all__ = [
     "sample_triples",
     "save_model",
     "select_target_synonym",
-    "similarity",
     "synonym_samples",
     "synthesize_corpus",
     "triple_samples_all",

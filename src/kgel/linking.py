@@ -1,7 +1,8 @@
 """End-to-end mention linking: condition the scorer on the mention, decode a
 surface form constrained to the trie, then resolve it to an entity id through
 the owners stored at the trie terminal it ended on. Ambiguous surfaces resolve
-to the owner most similar to the mention, then to the smallest id."""
+to the owner with the synonym most similar to the mention, then to the
+smallest id."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 from .errors import KgelError, MalformedPredictionsError
 from .ingest import Document, Mention, decode_json_line, locate_invalid_utf8
 from .kg import EntityId, KnowledgeGraph
-from .similarity import similarity
+from .similarity import Pattern, length_bound, similarity_from_distance
 from .text import normalize
 from .trie import Scorer, TokenTrie, build_trie, constrained_beam_search
 
@@ -68,14 +69,30 @@ def build_lookup(kg: KnowledgeGraph) -> LookupTable:
 
 
 def _resolve_owner(kg: KnowledgeGraph, mention_surface: str, owners: Sequence[EntityId]) -> EntityId:
+    """The owner with the synonym most similar to the mention, then the
+    smallest id. (owner, synonym) pairs are scored in order of descending
+    length bound, then ascending id; the bound is never below a pair's
+    similarity, so the first pair that can no longer win ends the search."""
     if len(owners) == 1:
         return owners[0]
-
-    def rank(entity_id: EntityId) -> tuple[float, EntityId]:
-        best = max(similarity(mention_surface, s) for s in kg.entities[entity_id].synonyms)
-        return (-best, entity_id)
-
-    return min(owners, key=rank)
+    mention = normalize(mention_surface)
+    pattern = Pattern(mention)
+    n = len(mention)
+    pairs = sorted(
+        (-length_bound(n, len(synonym)), entity_id, synonym)
+        for entity_id in owners
+        for synonym in map(normalize, kg.entities[entity_id].synonyms)
+    )
+    # similarity is never negative, so the first pair is always scored
+    best, winner = -1.0, owners[0]
+    for negative_bound, entity_id, synonym in pairs:
+        bound = -negative_bound
+        if bound < best or (bound == best and entity_id >= winner):
+            break
+        score = similarity_from_distance(pattern.distance(synonym), n, len(synonym))
+        if score > best or (score == best and entity_id < winner):
+            best, winner = score, entity_id
+    return winner
 
 
 def link_mention(
@@ -155,10 +172,14 @@ def _prediction_from_record(obj: dict) -> LinkedPrediction:
     # bool is an int subclass, and int() would truncate a float
     if type(index) is not int:
         raise TypeError(f"mention_index must be an integer, got {index!r}")
+    if index < 0:
+        raise ValueError(f"mention_index must not be negative, got {index}")
     if not isinstance(records, list):
         raise TypeError("candidates must be a list")
     candidates = []
     for c in records:
+        if not isinstance(c, dict) or set(c) != {"surface", "entity", "score"}:
+            raise ValueError("candidate keys must be exactly surface, entity and score")
         surface, entity, score = c["surface"], c["entity"], c["score"]
         if not (isinstance(surface, str) and isinstance(entity, str)):
             raise TypeError("candidate surface and entity must be strings")

@@ -112,8 +112,11 @@ class TestTopLevel:
             '{"doc_id": "d", "mention_index": 1.7, "gold": "C1", "candidates": []}',
             '{"doc_id": "d", "mention_index": 0, "gold": "C1", '
             '"candidates": [{"surface": "a", "entity": "C1", "score": NaN}]}',
+            '{"doc_id": "d", "mention_index": -3, "gold": "C1", "candidates": []}',
+            '{"doc_id": "d", "mention_index": 0, "gold": "C1", '
+            '"candidates": [{"surface": "a", "entity": "C1", "score": 0.0, "extra": 1}]}',
         ],
-        ids=["list_gold", "float_mention_index", "nan_score"],
+        ids=["list_gold", "float_mention_index", "nan_score", "negative_mention_index", "extra_candidate_key"],
     )
     def test_predictions_field_of_wrong_type_exits_2(self, capsys, tmp_path, line):
         bad = tmp_path / "bad.jsonl"

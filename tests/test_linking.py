@@ -8,6 +8,7 @@ from kgel.kg import Entity, build_kg
 from kgel.linking import (
     Candidate,
     LinkedPrediction,
+    _resolve_owner,
     build_lookup,
     link_dataset,
     link_mention,
@@ -16,6 +17,7 @@ from kgel.linking import (
 )
 from kgel.errors import KgelError, MalformedPredictionsError
 from kgel.ngram import condition_on_mention, finetune_targets, train
+from kgel.similarity import similarity
 from kgel.trie import TokenTrie, UniformScorer, build_trie
 from kgel.text import normalize
 
@@ -108,6 +110,44 @@ class TestLinkMention:
             beam_width=10, top_k=3,
         )
         assert len(prediction.candidates) == 3
+
+
+def reference_owner(kg, mention_surface, owners):
+    """The resolution rule by its definition: score every synonym of every
+    owner; the highest similarity wins, then the smallest id."""
+    return min(owners, key=lambda e: (-max(similarity(mention_surface, s) for s in kg.entities[e].synonyms), e))
+
+
+# Few characters and short strings, so that synonyms of equal length (equal
+# length bounds) are common; astral and combining characters, upper case and
+# runs of spaces that normalization folds or collapses.
+RESOLVER_CHARS = ["a", "b", "B", "é", "e", "\u0301", "\U0001F600", "\U0001D49C", " ", "  "]
+resolver_text = st.lists(st.sampled_from(RESOLVER_CHARS), max_size=5).map("".join)
+resolver_synonym = st.one_of(st.sampled_from(["ab", "ba", "bb", "AB", " ", "e\u0301b"]), resolver_text).filter(bool)
+
+
+@st.composite
+def ambiguous_resolutions(draw):
+    """A KG whose entities all own one surface, in case and whitespace
+    variants of their own, and a mention to resolve it for."""
+    ids = draw(st.lists(st.sampled_from(["A", "B", "C1", "C10", "C2"]), min_size=2, max_size=5, unique=True))
+    shared = draw(resolver_synonym)
+    entities = []
+    for entity_id in ids:
+        own = draw(st.sampled_from([shared, shared.upper(), f" {shared} ", shared.replace(" ", "  ")]))
+        entities.append(Entity.make(entity_id, own, draw(st.lists(resolver_synonym, max_size=4))))
+    kg = build_kg(entities, [], [])
+    synonyms = [s for e in entities for s in e.synonyms]
+    mention_surface = draw(st.one_of(st.sampled_from(["", " ", " \t "] + synonyms), resolver_text))
+    return kg, mention_surface, tuple(sorted(ids))
+
+
+class TestResolveOwner:
+    @settings(max_examples=400, deadline=None)
+    @given(ambiguous_resolutions())
+    def test_equals_reference(self, case):
+        kg, mention_surface, owners = case
+        assert _resolve_owner(kg, mention_surface, owners) == reference_owner(kg, mention_surface, owners)
 
 
 class TestLinkDataset:
@@ -208,10 +248,13 @@ class TestPredictionsIO:
             ("score", "-Infinity"),
             ("score", '"0.5"'),
             ("candidates", "{}"),
+            ("mention_index", "-3"),
+            ("candidates", '[{"surface": "a", "entity": "C1", "score": -0.5, "extra": 1}]'),
         ],
         ids=[
             "int_doc_id", "list_gold", "int_surface", "int_entity", "float_index", "bool_index", "string_index",
             "bool_score", "nan_score", "infinite_score", "string_score", "candidates_not_a_list",
+            "negative_index", "extra_candidate_key",
         ],
     )
     def test_field_of_wrong_type_reports_line(self, tmp_path, field, value):

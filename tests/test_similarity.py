@@ -1,11 +1,12 @@
 import random
+import types
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kgel.kg import Entity
-from kgel.similarity import edit_distance, select_target_synonym, similarity
+from kgel.similarity import Pattern, edit_distance, select_target_synonym, similarity
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -48,7 +49,10 @@ class TestEditDistance:
 
     @given(short_text, short_text)
     def test_matches_recursive_oracle(self, a, b):
-        assert edit_distance(a, b) == levenshtein_oracle(a, b)
+        expected = levenshtein_oracle(a, b)
+        assert edit_distance(a, b) == expected
+        # either side may be the pattern, the longer one as well as the shorter
+        assert Pattern(a).distance(b) == Pattern(b).distance(a) == expected
 
     @given(short_text, short_text)
     def test_symmetry(self, a, b):
@@ -75,15 +79,24 @@ class TestEditDistance:
     def test_long_pairs_against_oracle(self):
         rng = random.Random(65)
         alphabet = "abcd é"
+        anchor_rng = random.Random(100)
+        anchor = "".join(anchor_rng.choice(alphabet) for _ in range(100))
+        pattern = Pattern(anchor)
         for _ in range(12):
             a = "".join(rng.choice(alphabet) for _ in range(rng.randint(65, 150)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(65, 150)))
             assert edit_distance(a, b) == levenshtein_oracle(a, b)
+            # one pattern wider than a 64-bit word, built once and scanned many times
+            assert pattern.distance(b) == levenshtein_oracle(anchor, b)
 
     def test_empty_side(self):
         long = "x" * 150
         assert edit_distance(long, "") == edit_distance("", long) == 150
         assert edit_distance("", "\U0001F600") == 1
+        empty = Pattern("")
+        assert empty.distance(long) == Pattern(long).distance("") == 150
+        assert empty.distance("") == 0
+        assert empty.distance("\U0001F600") == 1
 
     def test_astral_and_combining_characters(self):
         rng = random.Random(1003)
@@ -104,6 +117,15 @@ class TestEditDistance:
             expected = levenshtein_oracle(short, long)
             assert edit_distance(short, long) == expected
             assert edit_distance(long, short) == expected
+            assert Pattern(short).distance(long) == Pattern(long).distance(short) == expected
+
+
+def test_submodule_is_the_module():
+    import kgel
+    import kgel.similarity as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.edit_distance is kgel.edit_distance
 
 
 class TestSimilarity:
