@@ -82,19 +82,40 @@ def locate_invalid_utf8(path: str | Path) -> tuple[int, str]:
     return 0, "invalid UTF-8"
 
 
+# json.loads goes through JSONDecoder.decode, which adds two regex matches
+# per line around the scanner that raw_decode calls directly.
+_raw_decode = json.JSONDecoder().raw_decode
+# The only characters json.loads skips around a value.
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def decode_json_line(line: str) -> object:
     """``json.loads`` for one line of a JSON-lines input. Every way the line
     can fail to decode raises ``ValueError`` whose message is the reason:
     bad syntax, nesting deeper than the interpreter's recursion limit, or an
-    integer longer than ``sys.get_int_max_str_digits()`` allows."""
+    integer longer than ``sys.get_int_max_str_digits()`` allows. It accepts
+    exactly what ``json.loads`` accepts and returns the same value."""
     try:
-        return json.loads(line)
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_WHITESPACE)))
+        if end != len(line) and line[end:].lstrip(_JSON_WHITESPACE):
+            raise json.JSONDecodeError("Extra data", line, end)
+        return obj
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
     except ValueError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
+
+
+def is_header_record(obj: object) -> bool:
+    """Whether a decoded record is the ``{"kgel": {...}}`` header that the
+    CLI writes first in a corpus or predictions file. Readers skip a header
+    only as the first record, so any other record with a ``"kgel"`` key is
+    checked like every other record, and rejected."""
+    return isinstance(obj, dict) and len(obj) == 1 and isinstance(obj.get("kgel"), dict)
 
 
 def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: bool = False) -> list[str]:

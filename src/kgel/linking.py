@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import KgelError, MalformedPredictionsError
-from .ingest import Document, Mention, decode_json_line, locate_invalid_utf8
+from .ingest import Document, Mention, decode_json_line, is_header_record, locate_invalid_utf8
 from .kg import EntityId, KnowledgeGraph
 from .similarity import Pattern, length_bound, similarity_from_distance
 from .text import normalize
@@ -190,10 +190,12 @@ def _prediction_from_record(obj: dict) -> LinkedPrediction:
 
 
 def read_predictions(path: str | Path) -> list[LinkedPrediction]:
+    """Read a predictions file, skipping the header record if it comes first."""
     src = Path(path)
     predictions = []
     try:
         with open(src, encoding="utf-8") as fp:
+            first = True
             for line_no, raw in enumerate(fp, start=1):
                 line = raw.rstrip("\r\n")
                 if not line:
@@ -202,8 +204,10 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
                     obj = decode_json_line(line)
                 except ValueError as exc:
                     raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
-                if isinstance(obj, dict) and "kgel" in obj:
-                    continue
+                if first:
+                    first = False
+                    if is_header_record(obj):
+                        continue
                 if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
                     raise MalformedPredictionsError(f"{src}:{line_no}: unexpected record keys")
                 try:

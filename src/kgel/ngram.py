@@ -33,10 +33,12 @@ DEFAULT_ORDER = 3
 @dataclass(frozen=True)
 class NGramModel:
     """Counts for every context length below ``order``, so prefixes shorter
-    than order-1 still condition on what is available."""
+    than order-1 still condition on what is available. ``counts`` maps each
+    context to a plain ``{token: count}`` dict; a token never seen after the
+    context is absent, not zero."""
 
     order: int
-    counts: dict[tuple[str, ...], Counter]
+    counts: dict[tuple[str, ...], dict[str, int]]
     totals: dict[tuple[str, ...], int]
     vocab: frozenset[str]
 
@@ -79,7 +81,7 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
     if order < 1:
         raise ValueError("order must be >= 1")
     unigrams: Counter = Counter()
-    counts: dict[tuple[str, ...], Counter] = {(): unigrams}
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
     for line in targets:
         tokens = tokenize(line)
         unigrams.update(tokens)
@@ -88,12 +90,11 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
             for context, token in zip(zip(*[tokens[i:] for i in range(length)]), tokens[length:]):
                 counter = counts.get(context)
                 if counter is None:
-                    counter = counts[context] = Counter()
-                # dict.get, not counter[token], which for a missing token goes
-                # through the Python-level Counter.__missing__.
+                    counter = counts[context] = {}
                 counter[token] = counter.get(token, 0) + 1
     if not unigrams:
         raise EmptyCorpusError("cannot train on an empty corpus")
+    counts[()] = dict(unigrams)
     totals = {context: sum(counter.values()) for context, counter in counts.items()}
     return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(unigrams))
 
@@ -160,11 +161,11 @@ def load_model(path: str | Path) -> NGramModel:
                 raise MalformedModelError(f"{src}: bad order/vocabulary header") from exc
             if order < 1 or vocab_size < 1:
                 raise MalformedModelError(f"{src}: order and vocabulary size must be positive")
-            counts: dict[tuple[str, ...], Counter] = {}
+            counts: dict[tuple[str, ...], dict[str, int]] = {}
             # save_model writes rows sorted by context, so the context field
             # is split and looked up once per run of equal fields. Rows of a
             # context that recurs after another still land in the same
-            # Counter, so duplicates are caught in any row order.
+            # table, so duplicates are caught in any row order.
             previous_field = None
             for line_no, raw in enumerate(fp, start=4):
                 line = raw.rstrip("\r\n")
@@ -180,7 +181,7 @@ def load_model(path: str | Path) -> NGramModel:
                         raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
                     counter = counts.get(context)
                     if counter is None:
-                        counter = counts[context] = Counter()
+                        counter = counts[context] = {}
                     previous_field = context_field
                 try:
                     count = int(count_field)
@@ -194,7 +195,7 @@ def load_model(path: str | Path) -> NGramModel:
     except UnicodeDecodeError:
         line_no, reason = locate_invalid_utf8(src)
         raise MalformedModelError(f"{src}:{line_no}: {reason}") from None
-    vocab = frozenset(counts.get((), Counter()))
+    vocab = frozenset(counts.get((), ()))
     if len(vocab) != vocab_size:
         raise MalformedModelError(f"{src}: vocabulary size {vocab_size} does not match rows ({len(vocab)})")
     totals = {context: sum(counter.values()) for context, counter in counts.items()}

@@ -20,6 +20,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -30,7 +31,7 @@ from .errors import (
     SpecialTokenError,
     UnknownSynonymError,
 )
-from .ingest import decode_json_line, locate_invalid_utf8
+from .ingest import decode_json_line, is_header_record, locate_invalid_utf8
 from .kg import Entity, EntityId, KnowledgeGraph, Triple
 
 BOS = "[BOS]"
@@ -250,22 +251,37 @@ def _samples(kg: KnowledgeGraph, mode: str, cap: int, k: int, seed: int) -> Iter
 
 def write_corpus(samples: Iterable[TrainingSample], fp: TextIO, *, config: dict | None = None) -> int:
     """Write JSON-lines records; an optional leading header record carries the
-    producing configuration. Returns the number of samples written."""
+    producing configuration. Returns the number of samples written. Each
+    record line is the bytes of ``json.dumps(record, ensure_ascii=False)``,
+    built from the string encoder that call uses; a field that is not a
+    string raises ``TypeError``."""
     if config is not None:
         fp.write(json.dumps({"kgel": {"format": CORPUS_FORMAT, "config": config}}, sort_keys=True) + "\n")
+    write = fp.write
     count = 0
     for sample in samples:
-        record = {"source": sample.source, "target": sample.target, "kind": sample.kind, "concept": sample.concept}
-        fp.write(json.dumps(record, ensure_ascii=False) + "\n")
+        try:
+            line = (
+                f'{{"source": {encode_basestring(sample.source)}, "target": {encode_basestring(sample.target)}, '
+                f'"kind": {encode_basestring(sample.kind)}, "concept": {encode_basestring(sample.concept)}}}\n'
+            )
+        except TypeError:
+            raise TypeError(f"corpus sample fields must be strings: {sample!r}") from None
+        write(line)
         count += 1
     return count
 
 
-def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
-    """Read a corpus file, skipping the header record if present."""
+_CORPUS_KEYS = frozenset(("source", "target", "kind", "concept"))
+
+
+def _corpus_records(path: str | Path) -> Iterator[tuple[str, str, str, str]]:
+    """(source, target, kind, concept) of every record of a corpus file, each
+    checked; a header is skipped only as the first record."""
     src = Path(path)
     try:
         with open(src, encoding="utf-8") as fp:
+            first = True
             for line_no, raw in enumerate(fp, start=1):
                 line = raw.rstrip("\r\n")
                 if not line:
@@ -274,20 +290,28 @@ def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
                     obj = decode_json_line(line)
                 except ValueError as exc:
                     raise MalformedLineError(src, line_no, str(exc)) from exc
-                if isinstance(obj, dict) and "kgel" in obj:
-                    continue
-                if not isinstance(obj, dict) or set(obj) != {"source", "target", "kind", "concept"}:
+                if first:
+                    first = False
+                    if is_header_record(obj):
+                        continue
+                if not isinstance(obj, dict) or obj.keys() != _CORPUS_KEYS:
                     raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
                 source, target, kind, concept = obj["source"], obj["target"], obj["kind"], obj["concept"]
                 if not (isinstance(source, str) and isinstance(target, str) and isinstance(kind, str) and isinstance(concept, str)):
                     raise MalformedLineError(src, line_no, "corpus record fields must be strings")
-                yield TrainingSample(source, target, kind, concept)
+                yield source, target, kind, concept
     except UnicodeDecodeError:
         raise MalformedLineError(src, *locate_invalid_utf8(src)) from None
 
 
+def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
+    """Read a corpus file, skipping the header record if it comes first."""
+    for source, target, kind, concept in _corpus_records(path):
+        yield TrainingSample(source, target, kind, concept)
+
+
 def corpus_targets(path: str | Path) -> list[str]:
-    targets = [sample.target for sample in read_corpus(path)]
+    targets = [target for _, target, _, _ in _corpus_records(path)]
     if not targets:
         raise EmptyCorpusError(f"no samples in {path}")
     return targets

@@ -125,6 +125,29 @@ class TestTopLevel:
         assert code == 2
         assert f"{bad}:2: " in err
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("train-scorer", '{"kgel": 1, "source": "x", "target": "[BOS] evil [EOS]"}'),
+            ("evaluate", '{"kgel": 7, "doc_id": "zz", "mention_index": 0, "gold": "C1", "candidates": []}'),
+        ],
+        ids=["corpus", "predictions"],
+    )
+    def test_kgel_key_after_first_record_exits_2(self, capsys, tmp_path, command, line):
+        record = {
+            "train-scorer": '{"source": "x", "target": "[BOS] a [EOS]", "kind": "synonym", "concept": "C1"}',
+            "evaluate": '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": []}',
+        }[command]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"kgel": {}}\n' + record + "\n" + line + "\n" + record + "\n", encoding="utf-8")
+        if command == "train-scorer":
+            argv = [command, "--corpus", str(bad), "--out", str(tmp_path / "m.tsv")]
+        else:
+            argv = [command, "--preds", str(bad)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:3: " in err
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
     @pytest.mark.parametrize("expected", [0, 1, 2])
     def test_restores_gc_state(self, capsys, tmp_path, enabled, expected):

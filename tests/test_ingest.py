@@ -13,7 +13,7 @@ from kgel.errors import (
     OverlappingMentionsError,
     SpanOutOfBoundsError,
 )
-from kgel.ingest import dataset_stats, parse_dataset, parse_kg_dir, write_dataset, write_kg_dir
+from kgel.ingest import dataset_stats, decode_json_line, parse_dataset, parse_kg_dir, write_dataset, write_kg_dir
 from kgel.kg import Entity, Relation, Triple, build_kg
 
 
@@ -173,6 +173,61 @@ def doc_line(doc_id="d1", text="ab cd", mentions=None):
     if mentions is None:
         mentions = [{"start": 0, "end": 2, "surface": "ab", "gold": "C1"}]
     return json.dumps({"doc_id": doc_id, "text": text, "mentions": mentions})
+
+
+def loads_reference(text):
+    """What ``decode_json_line`` returned or raised when it called
+    ``json.loads``: ("ok", repr of the value) or ("error", message)."""
+    try:
+        return "ok", repr(json.loads(text))
+    except json.JSONDecodeError as exc:
+        return "error", f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return "error", "invalid JSON: nested too deeply"
+    except ValueError as exc:
+        return "error", f"invalid JSON: {exc}"
+
+
+def decoded(text):
+    try:
+        return "ok", repr(decode_json_line(text))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+# json.loads skips only " \t\n\r" around a value; the others are whitespace
+# to str.strip but not to JSON.
+SPACE = st.text(st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\u2028", "\ufeff"]), max_size=3)
+JSON_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    SPACE,
+    JSON_VALUES | st.text(max_size=8) | st.sampled_from(["NaN", "-Infinity", "1e999", "[1,]", '{"a" 1}', "tru"]),
+    SPACE,
+    st.sampled_from(["", "x", "1", "{}", ",", '"']),
+).map("".join)
+
+
+class TestDecodeJsonLine:
+    @settings(max_examples=500, deadline=None)
+    @given(text=JSON_TEXT)
+    def test_same_as_json_loads(self, text):
+        assert decoded(text) == loads_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, "9" * 5_000, '{"a": -' + "1" * 5_000 + "}", "\ufeff{}", " \ufeff{}",
+         "\x0b1", "1\xa0", "{} {}", "", " \t\r\n"],
+        ids=["deep", "long_int", "long_negative_int", "bom", "bom_after_space",
+             "vertical_tab", "nbsp", "extra_data", "empty", "only_whitespace"],
+    )
+    def test_edge_cases_same_as_json_loads(self, text):
+        assert decoded(text) == loads_reference(text)
+        assert decoded(text)[0] == "error"
 
 
 class TestParseDataset:

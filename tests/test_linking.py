@@ -271,6 +271,25 @@ class TestPredictionsIO:
         with pytest.raises(MalformedPredictionsError, match=r"preds\.jsonl:2: "):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [
+            (['{"kgel": {}}', "{record}", '{"kgel": 7, "doc_id": "zz", "mention_index": 0, "gold": "C1", '
+              '"candidates": []}'], 3),
+            (['{"kgel": {}}', "{record}", '{"kgel": {}}'], 3),
+            (["{record}", '{"kgel": {}}'], 2),
+            (['{"kgel": 7}', "{record}"], 1),
+            (['{"kgel": {}, "doc_id": "d"}', "{record}"], 1),
+        ],
+        ids=["kgel_key_mid_file", "second_header", "header_after_record", "header_not_object", "header_extra_key"],
+    )
+    def test_header_only_as_first_record(self, tmp_path, lines, line_no):
+        record = '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": []}'
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(line.replace("{record}", record) + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(MalformedPredictionsError, match=rf"preds\.jsonl:{line_no}: unexpected record keys"):
+            read_predictions(path)
+
     def test_integer_score_is_read_as_float(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text(

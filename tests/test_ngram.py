@@ -171,7 +171,7 @@ class TestScoreNext:
         assert math.log(1 / 10) != -math.log(10) and math.log(1 / 7) != -math.log(7)
         counter = model.counts[("a",)]
         candidates = {"b", "e", "[eos]"}
-        assert model.score_next(["a"], candidates) == {t: math.log((counter[t] + 1) / 10) for t in candidates}
+        assert model.score_next(["a"], candidates) == {t: math.log((counter.get(t, 0) + 1) / 10) for t in candidates}
         assert model.score_next(["zzz"], candidates) == {t: -math.log(7) for t in candidates}
 
     def test_sparse_lists_only_observed_candidates(self):
@@ -297,6 +297,20 @@ class TestModelIO:
         path = tmp_path_factory.mktemp("rows") / "model.tsv"
         path.write_text("".join(header + rows), encoding="utf-8")
         assert load_model(path) == model
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
+    def test_tables_are_plain_dicts_and_round_trip(self, tmp_path_factory, lines, order):
+        assume(any(tokenize(line) for line in lines))
+        model = train(lines, order)
+        path = tmp_path_factory.mktemp("tables") / "model.tsv"
+        path.write_text(dump(model), encoding="utf-8")
+        reloaded = load_model(path)
+        assert reloaded == model
+        for m in (model, reloaded):
+            assert type(m.counts) is dict
+            assert all(type(table) is dict for table in m.counts.values())
+        assert dump(reloaded) == path.read_text(encoding="utf-8")
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.tsv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kgel.errors import KgelError, MalformedLineError, NoTriplesError, SpecialTokenError, UnknownSynonymError
 from kgel.kg import Entity, Relation, Triple, build_kg
 from kgel.synthesis import (
+    TrainingSample,
     make_source,
     read_corpus,
     relation_probabilities,
@@ -327,6 +328,17 @@ class TestTemplateConformance:
             assert any(b in toy_kg.entities[tail].synonyms for tail in tails)
 
 
+# Everything json.dumps escapes or passes through with ensure_ascii=False:
+# quotes, backslashes, C0 controls, DEL, the JS line separators, astral and
+# combining characters.
+CORPUS_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "\U0001f600", "\u0301", "e", "/"])
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(),
+    max_size=8,
+)
+
+
 class TestCorpusIO:
     def test_round_trip_with_header(self, toy_kg, tmp_path):
         samples = list(synthesize_corpus(toy_kg, "combined", seed=21))
@@ -334,6 +346,25 @@ class TestCorpusIO:
         with open(path, "w", encoding="utf-8") as fp:
             write_corpus(samples, fp, config={"seed": 21})
         assert list(read_corpus(path)) == samples
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.lists(st.tuples(CORPUS_TEXT, CORPUS_TEXT, CORPUS_TEXT, CORPUS_TEXT), max_size=4))
+    def test_lines_equal_json_dumps(self, fields):
+        samples = [TrainingSample(*f) for f in fields]
+        fp = io.StringIO()
+        assert write_corpus(samples, fp) == len(samples)
+        assert fp.getvalue() == "".join(
+            json.dumps({"source": s.source, "target": s.target, "kind": s.kind, "concept": s.concept}, ensure_ascii=False)
+            + "\n"
+            for s in samples
+        )
+
+    @pytest.mark.parametrize("field", ["source", "target", "kind", "concept"])
+    @pytest.mark.parametrize("value", [5, None, b"x", ["x"]], ids=["int", "none", "bytes", "list"])
+    def test_write_rejects_non_string_field(self, field, value):
+        fields = {"source": "x", "target": "y", "kind": "synonym", "concept": "C1", field: value}
+        with pytest.raises(TypeError, match="corpus sample fields must be strings"):
+            write_corpus([TrainingSample(**fields)], io.StringIO())
 
     def test_read_rejects_unexpected_record_keys(self, tmp_path):
         from kgel.errors import MalformedLineError
@@ -350,6 +381,32 @@ class TestCorpusIO:
         path.write_text('{"kgel": {}}\n' + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(MalformedLineError, match=r"bad\.jsonl:2: corpus record fields must be strings"):
             list(read_corpus(path))
+
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [
+            (['{"kgel": {}}', "{record}", '{"kgel": 1, "source": "x", "target": "[BOS] evil [EOS]"}', "{record}"], 3),
+            (['{"kgel": {}}', "{record}", '{"kgel": {}}'], 3),
+            (["{record}", '{"kgel": {}}'], 2),
+            (['{"kgel": 1}', "{record}"], 1),
+            (['{"kgel": {}, "source": "x"}', "{record}"], 1),
+            (['{"kgel": []}', "{record}"], 1),
+        ],
+        ids=["kgel_key_mid_file", "second_header", "header_after_record", "header_not_object", "header_extra_key",
+             "header_list"],
+    )
+    def test_header_only_as_first_record(self, tmp_path, lines, line_no):
+        record = json.dumps({"source": "x", "target": "[BOS] a [EOS]", "kind": "synonym", "concept": "C1"})
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line.replace("{record}", record) + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=rf"bad\.jsonl:{line_no}: corpus record keys"):
+            list(read_corpus(path))
+
+    def test_header_after_blank_lines_is_first_record(self, tmp_path):
+        record = {"source": "x", "target": "[BOS] a [EOS]", "kind": "synonym", "concept": "C1"}
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('\n\n{"kgel": {"format": "kgel-corpus-v1"}}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        assert [sample.target for sample in read_corpus(path)] == ["[BOS] a [EOS]"]
 
     @pytest.mark.parametrize("bad", ["[" * 100_000, '{"target": ' + "9" * 5_000 + "}"], ids=["deep", "long_int"])
     def test_undecodable_json_reports_line(self, tmp_path, bad):
