@@ -21,7 +21,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 from typing import TextIO
 
 from . import __version__
@@ -56,42 +55,23 @@ DEFAULT_BEAM_WIDTH = 5
 DEFAULT_TOP_K = 10
 
 
-@dataclass
-class RunConfig:
-    """Provenance record echoed into output artifact headers."""
-
-    command: str
-    seed: int = DEFAULT_SEED
-    mode: str | None = None
-    cap: int | None = None
-    k: int | None = None
-    order: int | None = None
-    beam_width: int | None = None
-    top_k: int | None = None
-    paths: dict[str, str] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for name in ("cap", "k", "order", "beam_width", "top_k"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-
-    def to_dict(self) -> dict:
-        out: dict = {"command": self.command, "seed": self.seed}
-        for name in ("mode", "cap", "k", "order", "beam_width", "top_k"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        out.update(self.paths)
-        return out
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(raw: str) -> int:
+    """argparse type for counts and widths: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def _emit(obj: dict) -> None:
@@ -139,15 +119,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    config = RunConfig(
-        command="synthesize", seed=args.seed, mode=args.mode, cap=args.cap, k=args.k,
-        paths={"kg": args.kg},
-    )
-    config.validate()
+    config = {"command": "synthesize", "seed": args.seed, "mode": args.mode, "cap": args.cap, "k": args.k, "kg": args.kg}
     kg = parse_kg_dir(args.kg)
     samples = synthesize_corpus(kg, args.mode, cap=args.cap, k=args.k, seed=args.seed)
     with _open_output(args.out) as fp:
-        count = write_corpus(samples, fp, config=config.to_dict())
+        count = write_corpus(samples, fp, config=config)
     _info(f"wrote {count} samples to {args.out}")
     return 0
 
@@ -157,38 +133,34 @@ def cmd_train_scorer(args) -> int:
         raise KgelError("nothing to train on: pass --corpus and/or --dataset with --kg")
     if args.dataset and not args.kg:
         raise KgelError("--dataset requires --kg to resolve gold entities")
-    config = RunConfig(command="train-scorer", order=args.order, paths={})
-    if args.corpus:
-        config.paths["corpus"] = args.corpus
-    if args.dataset:
-        config.paths.update({"dataset": args.dataset, "kg": args.kg})
-    config.validate()
-
+    # train-scorer takes no --seed; its header records the default anyway
+    config = {"command": "train-scorer", "seed": DEFAULT_SEED, "order": args.order}
     targets: list[str] = []
     if args.corpus:
+        config["corpus"] = args.corpus
         targets.extend(corpus_targets(args.corpus))
     if args.dataset:
+        config.update({"dataset": args.dataset, "kg": args.kg})
         kg = parse_kg_dir(args.kg)
         docs = parse_dataset(args.dataset)
         targets.extend(finetune_targets(kg, docs))
     model = train(targets, args.order)
     with _open_output(args.out) as fp:
-        save_model(model, fp, config=config.to_dict())
+        save_model(model, fp, config=config)
     _info(f"trained order-{model.order} model over {model.vocab_size} token vocabulary")
     return 0
 
 
 def cmd_link(args) -> int:
-    config = RunConfig(
-        command="link", beam_width=args.beam_width, top_k=args.top_k,
-        paths={"kg": args.kg, "dataset": args.dataset},
-    )
-    if args.model:
-        config.paths["model"] = args.model
-    config.validate()
+    # link takes no --seed; its header records the default anyway
+    config = {
+        "command": "link", "seed": DEFAULT_SEED, "beam_width": args.beam_width, "top_k": args.top_k,
+        "kg": args.kg, "dataset": args.dataset,
+    }
     kg = parse_kg_dir(args.kg)
     docs = parse_dataset(args.dataset)
     if args.model:
+        config["model"] = args.model
         model = load_model(args.model)
         scorer_factory = lambda surface: condition_on_mention(model, surface)
     else:
@@ -196,7 +168,7 @@ def cmd_link(args) -> int:
         scorer_factory = lambda surface: uniform
     predictions = link_dataset(kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k)
     with _open_output(args.out) as fp:
-        count = write_predictions(predictions, fp, config=config.to_dict())
+        count = write_predictions(predictions, fp, config=config)
     failed = sum(1 for prediction in predictions if not prediction.candidates)
     _info(f"linked {count} mentions to {args.out}; {failed} left without candidates")
     return 0
@@ -252,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="generate a pre-training corpus")
     p.add_argument("--kg", required=True)
     p.add_argument("--mode", choices=MODES, default="combined")
-    p.add_argument("--cap", type=int, default=DEFAULT_SYNONYM_CAP, help="max synonym pairs per concept")
-    p.add_argument("--k", type=int, default=DEFAULT_TRIPLES_PER_CONCEPT, help="max sampled triples per concept")
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SYNONYM_CAP, help="max synonym pairs per concept")
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_TRIPLES_PER_CONCEPT, help="max sampled triples per concept")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
@@ -262,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="pre-training corpus (JSON lines)")
     p.add_argument("--dataset", help="dataset whose mentions become linking-template lines")
     p.add_argument("--kg", help="KG directory (required with --dataset)")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_positive_int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_scorer)
 
@@ -270,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", help="n-gram model file; omit for the uniform scorer")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--top-k", type=_positive_int, default=DEFAULT_TOP_K)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_link)
 

@@ -80,9 +80,9 @@ class EmptyCorpusError(KgelError):
     pass
 
 
-class MalformedModelError(KgelError):
+class MalformedModelError(LineError):
     pass
 
 
-class MalformedPredictionsError(KgelError):
+class MalformedPredictionsError(LineError):
     pass

@@ -16,6 +16,9 @@ Datasets are JSON lines, one document per line:
 Mention offsets are byte offsets into the UTF-8 encoding of ``text`` and must
 fall on character boundaries. Unknown keys are rejected. Files are read line
 by line, so memory stays proportional to the parsed output.
+
+Corpus and predictions files are JSON lines behind an optional header record:
+:func:`header_line` writes it and :func:`read_records` reads both.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     DanglingRelationError,
     DuplicateEntityError,
     DuplicateRelationError,
+    LineError,
     MalformedLineError,
     MissingFileError,
     OverlappingMentionsError,
@@ -110,12 +114,38 @@ def decode_json_line(line: str) -> object:
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def is_header_record(obj: object) -> bool:
-    """Whether a decoded record is the ``{"kgel": {...}}`` header that the
-    CLI writes first in a corpus or predictions file. Readers skip a header
-    only as the first record, so any other record with a ``"kgel"`` key is
-    checked like every other record, and rejected."""
-    return isinstance(obj, dict) and len(obj) == 1 and isinstance(obj.get("kgel"), dict)
+def header_line(format: str, config: dict) -> str:
+    """The ``{"kgel": {"format": ..., "config": ...}}`` record, with its
+    newline, that the CLI writes first in a corpus or predictions file."""
+    return json.dumps({"kgel": {"format": format, "config": config}}, sort_keys=True) + "\n"
+
+
+def read_records(path: str | Path, error: type[LineError]) -> Iterator[tuple[int, object]]:
+    """``(line number, decoded record)`` for each non-blank line of a
+    JSON-lines artifact. A ``{"kgel": {...}}`` header is skipped only as the
+    first record; a ``"kgel"`` key anywhere else is left to the caller's
+    record checks. Invalid UTF-8 and every line that fails to decode raise
+    ``error`` at ``path:line``."""
+    src = Path(path)
+    first = True
+    # Universal newlines split lines as newline="" does, and find them faster.
+    with open(src, encoding="utf-8") as fp:
+        try:
+            for line_no, raw in enumerate(fp, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                try:
+                    obj = decode_json_line(line)
+                except ValueError as exc:
+                    raise error(src, line_no, str(exc)) from exc
+                if first:
+                    first = False
+                    if isinstance(obj, dict) and len(obj) == 1 and isinstance(obj.get("kgel"), dict):
+                        continue
+                yield line_no, obj
+        except UnicodeDecodeError:
+            raise error(src, *locate_invalid_utf8(src)) from None
 
 
 def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: bool = False) -> list[str]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import KgelError, MalformedPredictionsError
-from .ingest import Document, Mention, decode_json_line, is_header_record, locate_invalid_utf8
+from .ingest import Document, Mention, header_line, read_records
 from .kg import EntityId, KnowledgeGraph
 from .similarity import Pattern, length_bound, similarity_from_distance
 from .text import normalize
@@ -148,7 +148,7 @@ def link_dataset(
 
 def write_predictions(predictions: Iterable[LinkedPrediction], fp: TextIO, *, config: dict | None = None) -> int:
     if config is not None:
-        fp.write(json.dumps({"kgel": {"format": PREDICTIONS_FORMAT, "config": config}}, sort_keys=True) + "\n")
+        fp.write(header_line(PREDICTIONS_FORMAT, config))
     count = 0
     for prediction in predictions:
         record = {
@@ -193,29 +193,12 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
     """Read a predictions file, skipping the header record if it comes first."""
     src = Path(path)
     predictions = []
-    try:
-        with open(src, encoding="utf-8") as fp:
-            first = True
-            for line_no, raw in enumerate(fp, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                try:
-                    obj = decode_json_line(line)
-                except ValueError as exc:
-                    raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
-                if first:
-                    first = False
-                    if is_header_record(obj):
-                        continue
-                if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
-                    raise MalformedPredictionsError(f"{src}:{line_no}: unexpected record keys")
-                try:
-                    prediction = _prediction_from_record(obj)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise MalformedPredictionsError(f"{src}:{line_no}: {exc}") from exc
-                predictions.append(prediction)
-    except UnicodeDecodeError:
-        line_no, reason = locate_invalid_utf8(src)
-        raise MalformedPredictionsError(f"{src}:{line_no}: {reason}") from None
+    for line_no, obj in read_records(src, MalformedPredictionsError):
+        if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
+            raise MalformedPredictionsError(src, line_no, "unexpected record keys")
+        try:
+            prediction = _prediction_from_record(obj)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedPredictionsError(src, line_no, str(exc)) from exc
+        predictions.append(prediction)
     return predictions

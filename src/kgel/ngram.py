@@ -153,14 +153,16 @@ def load_model(path: str | Path) -> NGramModel:
         with open(src, encoding="utf-8") as fp:
             header, order_line, vocab_line = fp.readline(), fp.readline(), fp.readline()
             if header.rstrip("\r\n").split("\t", 1)[0] != NGRAM_FORMAT:
-                raise MalformedModelError(f"{src}: not a {NGRAM_FORMAT} file")
-            try:
-                order = int(order_line.strip())
-                vocab_size = int(vocab_line.strip())
-            except ValueError as exc:
-                raise MalformedModelError(f"{src}: bad order/vocabulary header") from exc
+                raise MalformedModelError(src, 1, f"not a {NGRAM_FORMAT} file")
+            sizes = []
+            for line_no, line in ((2, order_line), (3, vocab_line)):
+                try:
+                    sizes.append(int(line.strip()))
+                except ValueError as exc:
+                    raise MalformedModelError(src, line_no, "bad order/vocabulary header") from exc
+            order, vocab_size = sizes
             if order < 1 or vocab_size < 1:
-                raise MalformedModelError(f"{src}: order and vocabulary size must be positive")
+                raise MalformedModelError(src, 2 if order < 1 else 3, "order and vocabulary size must be positive")
             counts: dict[tuple[str, ...], dict[str, int]] = {}
             # save_model writes rows sorted by context, so the context field
             # is split and looked up once per run of equal fields. Rows of a
@@ -173,12 +175,12 @@ def load_model(path: str | Path) -> NGramModel:
                     continue
                 fields = line.split("\t")
                 if len(fields) != 3:
-                    raise MalformedModelError(f"{src}:{line_no}: expected 3 tab-separated fields")
+                    raise MalformedModelError(src, line_no, "expected 3 tab-separated fields")
                 context_field, token, count_field = fields
                 if context_field != previous_field:
                     context = tuple(context_field.split(" ")) if context_field else ()
                     if len(context) >= order:
-                        raise MalformedModelError(f"{src}:{line_no}: context longer than order allows")
+                        raise MalformedModelError(src, line_no, "context longer than order allows")
                     counter = counts.get(context)
                     if counter is None:
                         counter = counts[context] = {}
@@ -186,17 +188,16 @@ def load_model(path: str | Path) -> NGramModel:
                 try:
                     count = int(count_field)
                 except ValueError as exc:
-                    raise MalformedModelError(f"{src}:{line_no}: bad count") from exc
+                    raise MalformedModelError(src, line_no, "bad count") from exc
                 if count < 1:
-                    raise MalformedModelError(f"{src}:{line_no}: counts must be positive")
+                    raise MalformedModelError(src, line_no, "counts must be positive")
                 if token in counter:
-                    raise MalformedModelError(f"{src}:{line_no}: duplicate row for context {context_field!r}, token {token!r}")
+                    raise MalformedModelError(src, line_no, f"duplicate row for context {context_field!r}, token {token!r}")
                 counter[token] = count
     except UnicodeDecodeError:
-        line_no, reason = locate_invalid_utf8(src)
-        raise MalformedModelError(f"{src}:{line_no}: {reason}") from None
+        raise MalformedModelError(src, *locate_invalid_utf8(src)) from None
     vocab = frozenset(counts.get((), ()))
     if len(vocab) != vocab_size:
-        raise MalformedModelError(f"{src}: vocabulary size {vocab_size} does not match rows ({len(vocab)})")
+        raise MalformedModelError(src, 3, f"vocabulary size {vocab_size} does not match rows ({len(vocab)})")
     totals = {context: sum(counter.values()) for context, counter in counts.items()}
     return NGramModel(order=order, counts=counts, totals=totals, vocab=vocab)

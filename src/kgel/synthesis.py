@@ -17,7 +17,6 @@ function of (kg, mode, cap, k, seed).
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -31,7 +30,7 @@ from .errors import (
     SpecialTokenError,
     UnknownSynonymError,
 )
-from .ingest import decode_json_line, is_header_record, locate_invalid_utf8
+from .ingest import header_line, read_records
 from .kg import Entity, EntityId, KnowledgeGraph, Triple
 
 BOS = "[BOS]"
@@ -256,7 +255,7 @@ def write_corpus(samples: Iterable[TrainingSample], fp: TextIO, *, config: dict 
     built from the string encoder that call uses; a field that is not a
     string raises ``TypeError``."""
     if config is not None:
-        fp.write(json.dumps({"kgel": {"format": CORPUS_FORMAT, "config": config}}, sort_keys=True) + "\n")
+        fp.write(header_line(CORPUS_FORMAT, config))
     write = fp.write
     count = 0
     for sample in samples:
@@ -279,29 +278,13 @@ def _corpus_records(path: str | Path) -> Iterator[tuple[str, str, str, str]]:
     """(source, target, kind, concept) of every record of a corpus file, each
     checked; a header is skipped only as the first record."""
     src = Path(path)
-    try:
-        with open(src, encoding="utf-8") as fp:
-            first = True
-            for line_no, raw in enumerate(fp, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                try:
-                    obj = decode_json_line(line)
-                except ValueError as exc:
-                    raise MalformedLineError(src, line_no, str(exc)) from exc
-                if first:
-                    first = False
-                    if is_header_record(obj):
-                        continue
-                if not isinstance(obj, dict) or obj.keys() != _CORPUS_KEYS:
-                    raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
-                source, target, kind, concept = obj["source"], obj["target"], obj["kind"], obj["concept"]
-                if not (isinstance(source, str) and isinstance(target, str) and isinstance(kind, str) and isinstance(concept, str)):
-                    raise MalformedLineError(src, line_no, "corpus record fields must be strings")
-                yield source, target, kind, concept
-    except UnicodeDecodeError:
-        raise MalformedLineError(src, *locate_invalid_utf8(src)) from None
+    for line_no, obj in read_records(src, MalformedLineError):
+        if not isinstance(obj, dict) or obj.keys() != _CORPUS_KEYS:
+            raise MalformedLineError(src, line_no, "corpus record keys must be source/target/kind/concept")
+        source, target, kind, concept = obj["source"], obj["target"], obj["kind"], obj["concept"]
+        if not (isinstance(source, str) and isinstance(target, str) and isinstance(kind, str) and isinstance(concept, str)):
+            raise MalformedLineError(src, line_no, "corpus record fields must be strings")
+        yield source, target, kind, concept
 
 
 def read_corpus(path: str | Path) -> Iterator[TrainingSample]:

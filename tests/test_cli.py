@@ -63,7 +63,7 @@ class TestTopLevel:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("reader", ["kg", "model", "predictions"])
+    @pytest.mark.parametrize("reader", ["kg", "model", "predictions", "corpus", "dataset"])
     def test_invalid_utf8_exits_2_with_file_and_line(self, capsys, tmp_path, reader):
         kg_dir = tmp_path / "kg"
         write_kg_dir(build_linkbench(3)[0], kg_dir)
@@ -76,9 +76,15 @@ class TestTopLevel:
             bad = tmp_path / "model.tsv"
             argv = ["link", "--kg", str(kg_dir), "--dataset", str(dataset), "--model", str(bad),
                     "--out", str(tmp_path / "p.jsonl")]
-        else:
+        elif reader == "predictions":
             bad = tmp_path / "p.jsonl"
             argv = ["evaluate", "--preds", str(bad)]
+        elif reader == "corpus":
+            bad = tmp_path / "c.jsonl"
+            argv = ["train-scorer", "--corpus", str(bad), "--out", str(tmp_path / "m.tsv")]
+        else:
+            bad = tmp_path / "d.jsonl"
+            argv = ["stats", "--dataset", str(bad)]
         bad.write_bytes(b"C1000\tok\nC1001\tbad\xfe\n")
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -170,6 +176,83 @@ class TestTopLevel:
                 gc.enable()
             else:
                 gc.disable()
+
+
+class TestPositiveOptions:
+    BASE = {
+        "synthesize": ["--kg", str(TOY_KG_DIR)],
+        "train-scorer": ["--dataset", str(TOY_DATASET), "--kg", str(TOY_KG_DIR)],
+        "link": ["--kg", str(TOY_KG_DIR), "--dataset", str(TOY_DATASET)],
+    }
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("synthesize", "--cap"),
+            ("synthesize", "--k"),
+            ("train-scorer", "--order"),
+            ("link", "--beam-width"),
+            ("link", "--top-k"),
+        ],
+    )
+    def test_non_positive_value_exits_1_before_out_is_opened(self, capsys, tmp_path, command, option, value):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *self.BASE[command], option, value, "--out", str(out))
+        assert code == 1
+        assert "usage" in err and option in err
+        assert not out.exists()
+
+
+def written_config(capsys, tmp_path, *argv) -> dict:
+    """The ``config`` of the header a command writes to its ``--out``."""
+    out = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    first = out.read_text(encoding="utf-8").splitlines()[0]
+    if first.startswith("kgel-ngram-v1\t"):
+        return json.loads(first.split("\t", 1)[1])
+    return json.loads(first)["kgel"]["config"]
+
+
+class TestHeaderConfig:
+    """The whole header config of each artifact: the command, its parameters,
+    its input paths, and the default seed where the command takes none."""
+
+    KG, DATASET = str(TOY_KG_DIR), str(TOY_DATASET)
+
+    def test_synthesize(self, capsys, tmp_path):
+        assert written_config(capsys, tmp_path, "synthesize", "--kg", self.KG) == {
+            "command": "synthesize", "seed": 42, "mode": "combined", "cap": 20, "k": 8, "kg": self.KG,
+        }
+
+    def test_train_scorer_on_corpus(self, capsys, tmp_path):
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert run(capsys, "synthesize", "--kg", self.KG, "--out", corpus)[0] == 0
+        assert written_config(capsys, tmp_path, "train-scorer", "--corpus", corpus) == {
+            "command": "train-scorer", "seed": 42, "order": 3, "corpus": corpus,
+        }
+
+    def test_train_scorer_on_everything(self, capsys, tmp_path):
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert run(capsys, "synthesize", "--kg", self.KG, "--out", corpus)[0] == 0
+        argv = ["train-scorer", "--corpus", corpus, "--dataset", self.DATASET, "--kg", self.KG, "--order", "2"]
+        assert written_config(capsys, tmp_path, *argv) == {
+            "command": "train-scorer", "seed": 42, "order": 2, "corpus": corpus, "dataset": self.DATASET, "kg": self.KG,
+        }
+
+    def test_link_with_model(self, capsys, tmp_path):
+        model = str(tmp_path / "model.tsv")
+        assert run(capsys, "train-scorer", "--dataset", self.DATASET, "--kg", self.KG, "--out", model)[0] == 0
+        argv = ["link", "--kg", self.KG, "--dataset", self.DATASET, "--model", model, "--beam-width", "3"]
+        assert written_config(capsys, tmp_path, *argv) == {
+            "command": "link", "seed": 42, "beam_width": 3, "top_k": 10, "kg": self.KG, "dataset": self.DATASET,
+            "model": model,
+        }
+
+    def test_link_without_model(self, capsys, tmp_path):
+        assert written_config(capsys, tmp_path, "link", "--kg", self.KG, "--dataset", self.DATASET) == {
+            "command": "link", "seed": 42, "beam_width": 5, "top_k": 10, "kg": self.KG, "dataset": self.DATASET,
+        }
 
 
 class TestIngestAndStats:

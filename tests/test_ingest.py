@@ -8,12 +8,22 @@ from conftest import TOY_DATASET, TOY_KG_DIR
 from kgel.errors import (
     DanglingEntityError,
     KgelError,
+    LineError,
     MalformedLineError,
     MissingFileError,
     OverlappingMentionsError,
     SpanOutOfBoundsError,
 )
-from kgel.ingest import dataset_stats, decode_json_line, parse_dataset, parse_kg_dir, write_dataset, write_kg_dir
+from kgel.ingest import (
+    dataset_stats,
+    decode_json_line,
+    header_line,
+    parse_dataset,
+    parse_kg_dir,
+    read_records,
+    write_dataset,
+    write_kg_dir,
+)
 from kgel.kg import Entity, Relation, Triple, build_kg
 
 
@@ -228,6 +238,40 @@ class TestDecodeJsonLine:
     def test_edge_cases_same_as_json_loads(self, text):
         assert decoded(text) == loads_reference(text)
         assert decoded(text)[0] == "error"
+
+
+class TestReadRecords:
+    def test_header_skipped_only_as_first_record(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        header = header_line("kgel-test-v1", {"seed": 1})
+        path.write_text("\n" + header + '{"a": 1}\n\r\n' + header, encoding="utf-8")
+        assert list(read_records(path, MalformedLineError)) == [
+            (3, {"a": 1}),
+            (5, {"kgel": {"config": {"seed": 1}, "format": "kgel-test-v1"}}),
+        ]
+
+    def test_header_line_bytes(self):
+        assert header_line("kgel-test-v1", {"z": "é", "a": 1}) == (
+            '{"kgel": {"config": {"a": 1, "z": "\\u00e9"}, "format": "kgel-test-v1"}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "raw, line_no, reason",
+        [
+            (b"{}\n\n{\n", 3, "invalid JSON: Expecting property name enclosed in double quotes"),
+            (b"{}\n\n[\xff]\n", 3, "invalid UTF-8 byte 0xff at column 2"),
+        ],
+        ids=["bad_json", "bad_utf8"],
+    )
+    def test_errors_raise_the_given_class_at_path_and_line(self, tmp_path, raw, line_no, reason):
+        class Rejected(LineError):
+            pass
+
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(raw)
+        with pytest.raises(Rejected) as info:
+            list(read_records(path, Rejected))
+        assert (info.value.path, info.value.line_no, info.value.reason) == (str(path), line_no, reason)
 
 
 class TestParseDataset:

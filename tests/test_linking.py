@@ -15,7 +15,7 @@ from kgel.linking import (
     read_predictions,
     write_predictions,
 )
-from kgel.errors import KgelError, MalformedPredictionsError
+from kgel.errors import KgelError, LineError, MalformedPredictionsError
 from kgel.ngram import condition_on_mention, finetune_targets, train
 from kgel.similarity import similarity
 from kgel.trie import TokenTrie, UniformScorer, build_trie
@@ -287,8 +287,10 @@ class TestPredictionsIO:
         record = '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": []}'
         path = tmp_path / "preds.jsonl"
         path.write_text("".join(line.replace("{record}", record) + "\n" for line in lines), encoding="utf-8")
-        with pytest.raises(MalformedPredictionsError, match=rf"preds\.jsonl:{line_no}: unexpected record keys"):
+        with pytest.raises(MalformedPredictionsError, match=rf"preds\.jsonl:{line_no}: unexpected record keys") as info:
             read_predictions(path)
+        assert isinstance(info.value, LineError)
+        assert (info.value.path, info.value.line_no, info.value.reason) == (str(path), line_no, "unexpected record keys")
 
     def test_integer_score_is_read_as_float(self, tmp_path):
         path = tmp_path / "preds.jsonl"

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kgel.errors import EmptyCorpusError, KgelError, MalformedModelError
+from kgel.errors import EmptyCorpusError, KgelError, LineError, MalformedModelError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
     MentionConditionedScorer,
@@ -315,14 +315,32 @@ class TestModelIO:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("not-a-model\n1\n1\n", encoding="utf-8")
-        with pytest.raises(MalformedModelError):
+        with pytest.raises(MalformedModelError, match=r"bogus\.tsv:1: not a kgel-ngram-v1 file"):
             load_model(path)
 
     def test_rejects_vocab_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("kgel-ngram-v1\n2\n5\n\ta\t1\n", encoding="utf-8")
-        with pytest.raises(MalformedModelError):
+        with pytest.raises(MalformedModelError, match=r"bad\.tsv:3: vocabulary size 5 does not match rows \(1\)"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            ("kgel-ngram-v1\nx\n1\n", 2, "bad order/vocabulary header"),
+            ("kgel-ngram-v1\n2\nx\n", 3, "bad order/vocabulary header"),
+            ("kgel-ngram-v1\n0\n1\n", 2, "order and vocabulary size must be positive"),
+            ("kgel-ngram-v1\n2\n0\n", 3, "order and vocabulary size must be positive"),
+        ],
+        ids=["bad_order", "bad_vocab", "zero_order", "zero_vocab"],
+    )
+    def test_header_rejection_names_its_line(self, tmp_path, text, line_no, reason):
+        path = tmp_path / "model.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LineError) as info:
+            load_model(path)
+        assert type(info.value) is MalformedModelError
+        assert (info.value.path, info.value.line_no, info.value.reason) == (str(path), line_no, reason)
 
     def test_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "dup.tsv"
