@@ -6,34 +6,36 @@ class KgelError(Exception):
     """Base class for data and validation errors."""
 
 
-class DuplicateEntityError(KgelError):
-    pass
-
-
-class DuplicateRelationError(KgelError):
-    pass
-
-
-class DanglingEntityError(KgelError):
-    """A triple, synonym or definition references an entity id that does not exist."""
-
-
-class DanglingRelationError(KgelError):
-    """A triple references a relation id that does not exist."""
-
-
 class MissingFileError(KgelError):
     pass
 
 
 class LineError(KgelError):
-    """An error tied to a specific line of an input file."""
+    """An error tied to a line of an input file, printed as
+    ``path:line: reason``. With no location (``path`` and ``line_no`` None),
+    as for a graph assembled in memory, the message is the reason alone."""
 
     def __init__(self, path, line_no, reason):
-        self.path = str(path)
+        self.path = None if path is None else str(path)
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"{self.path}:{line_no}: {reason}")
+        super().__init__(reason if path is None else f"{self.path}:{line_no}: {reason}")
+
+
+class DuplicateEntityError(LineError):
+    pass
+
+
+class DuplicateRelationError(LineError):
+    pass
+
+
+class DanglingEntityError(LineError):
+    """A triple, synonym or definition references an entity id that does not exist."""
+
+
+class DanglingRelationError(LineError):
+    """A triple references a relation id that does not exist."""
 
 
 class MalformedLineError(LineError):

@@ -152,9 +152,8 @@ def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: b
     fields = line.split("\t", n_fields - 1) if greedy_last else line.split("\t")
     if len(fields) != n_fields:
         raise MalformedLineError(path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}")
-    for i, field in enumerate(fields):
-        if not field:
-            raise MalformedLineError(path, line_no, f"field {i + 1} is empty")
+    if "" in fields:
+        raise MalformedLineError(path, line_no, f"field {fields.index('') + 1} is empty")
     return fields
 
 
@@ -176,7 +175,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     for line_no, line in _lines(concepts_path):
         cui, name = _split(concepts_path, line_no, line, 2)
         if cui in names:
-            raise DuplicateEntityError(f"{concepts_path}:{line_no}: duplicate concept id {cui!r}")
+            raise DuplicateEntityError(concepts_path, line_no, f"duplicate concept id {cui!r}")
         names[cui] = name
         concept_lines[cui] = line_no
 
@@ -185,7 +184,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     for line_no, line in _lines(synonyms_path):
         cui, synonym = _split(synonyms_path, line_no, line, 2)
         if cui not in names:
-            raise DanglingEntityError(f"{synonyms_path}:{line_no}: unknown concept id {cui!r}")
+            raise DanglingEntityError(synonyms_path, line_no, f"unknown concept id {cui!r}")
         synonyms.setdefault(cui, []).append(synonym)
 
     definitions: dict[str, str] = {}
@@ -194,7 +193,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
         for line_no, line in _lines(definitions_path):
             cui, definition = _split(definitions_path, line_no, line, 2, greedy_last=True)
             if cui not in names:
-                raise DanglingEntityError(f"{definitions_path}:{line_no}: unknown concept id {cui!r}")
+                raise DanglingEntityError(definitions_path, line_no, f"unknown concept id {cui!r}")
             if cui in definitions:
                 raise MalformedLineError(definitions_path, line_no, f"duplicate definition for {cui!r}")
             definitions[cui] = definition
@@ -204,7 +203,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     for line_no, line in _lines(relations_path):
         rid, label = _split(relations_path, line_no, line, 2)
         if rid in relations:
-            raise DuplicateRelationError(f"{relations_path}:{line_no}: duplicate relation id {rid!r}")
+            raise DuplicateRelationError(relations_path, line_no, f"duplicate relation id {rid!r}")
         relations[rid] = Relation(rid, label)
 
     triples_path = base / "triples.tsv"
@@ -212,11 +211,11 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     for line_no, line in _lines(triples_path):
         head, rid, tail = _split(triples_path, line_no, line, 3)
         if head not in names:
-            raise DanglingEntityError(f"{triples_path}:{line_no}: unknown head concept {head!r}")
+            raise DanglingEntityError(triples_path, line_no, f"unknown head concept {head!r}")
         if tail not in names:
-            raise DanglingEntityError(f"{triples_path}:{line_no}: unknown tail concept {tail!r}")
+            raise DanglingEntityError(triples_path, line_no, f"unknown tail concept {tail!r}")
         if rid not in relations:
-            raise DanglingRelationError(f"{triples_path}:{line_no}: unknown relation {rid!r}")
+            raise DanglingRelationError(triples_path, line_no, f"unknown relation {rid!r}")
         triples.append(Triple(head, rid, tail))
 
     entities = []

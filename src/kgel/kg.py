@@ -34,6 +34,11 @@ def _check_surface(value: str, what: str) -> None:
     _check_id(value, what)
 
 
+def _check_definition(entity_id: EntityId, definition: str | None) -> None:
+    if definition is not None and "\n" in definition:
+        raise ValueError(f"entity {entity_id}: definition contains a newline")
+
+
 @dataclass(frozen=True)
 class Entity:
     """A concept with its surface forms.
@@ -59,8 +64,7 @@ class Entity:
             if key in seen:
                 raise ValueError(f"entity {self.id}: duplicate synonym {syn!r} after normalization")
             seen.add(key)
-        if self.definition is not None and "\n" in self.definition:
-            raise ValueError(f"entity {self.id}: definition contains a newline")
+        _check_definition(self.id, self.definition)
 
     @classmethod
     def make(
@@ -71,7 +75,11 @@ class Entity:
         definition: str | None = None,
     ) -> "Entity":
         """Build an entity, putting the preferred name first and dropping
-        synonyms that are duplicates after normalization (first wins)."""
+        synonyms that are duplicates after normalization (first wins).
+
+        It rejects what direct construction rejects, with the same error, in
+        one pass: the preferred name is first and no two kept synonyms
+        normalize alike by construction, so those checks are not repeated."""
         ordered = [preferred_name]
         seen = {normalize(preferred_name)}
         for syn in synonyms:
@@ -80,12 +88,19 @@ class Entity:
                 continue
             seen.add(key)
             ordered.append(syn)
-        return cls(
-            id=id,
-            preferred_name=preferred_name,
-            synonyms=tuple(ordered),
-            definition=definition or None,
-        )
+        definition = definition or None
+        _check_id(id, "entity id")
+        _check_surface(preferred_name, "preferred name")
+        for syn in ordered[1:]:
+            _check_surface(syn, f"synonym of {id}")
+        _check_definition(id, definition)
+        # What the generated __init__ does, without __post_init__.
+        entity = object.__new__(cls)
+        object.__setattr__(entity, "id", id)
+        object.__setattr__(entity, "preferred_name", preferred_name)
+        object.__setattr__(entity, "synonyms", tuple(ordered))
+        object.__setattr__(entity, "definition", definition)
+        return entity
 
 
 @dataclass(frozen=True)
@@ -137,13 +152,13 @@ def build_kg(
     entity_map: dict[str, Entity] = {}
     for entity in entities:
         if entity.id in entity_map:
-            raise DuplicateEntityError(f"duplicate entity id {entity.id!r}")
+            raise DuplicateEntityError(None, None, f"duplicate entity id {entity.id!r}")
         entity_map[entity.id] = entity
 
     relation_map: dict[str, Relation] = {}
     for relation in relations:
         if relation.id in relation_map:
-            raise DuplicateRelationError(f"duplicate relation id {relation.id!r}")
+            raise DuplicateRelationError(None, None, f"duplicate relation id {relation.id!r}")
         relation_map[relation.id] = relation
 
     triple_list: list[Triple] = []
@@ -151,13 +166,11 @@ def build_kg(
     freq = {rid: 0 for rid in relation_map}
     for triple in triples:
         if triple.head not in entity_map:
-            raise DanglingEntityError(f"triple {triple} references unknown entity {triple.head!r}")
+            raise DanglingEntityError(None, None, f"triple {triple} references unknown entity {triple.head!r}")
         if triple.tail not in entity_map:
-            raise DanglingEntityError(f"triple {triple} references unknown entity {triple.tail!r}")
+            raise DanglingEntityError(None, None, f"triple {triple} references unknown entity {triple.tail!r}")
         if triple.relation not in relation_map:
-            raise DanglingRelationError(
-                f"triple {triple} references unknown relation {triple.relation!r}"
-            )
+            raise DanglingRelationError(None, None, f"triple {triple} references unknown relation {triple.relation!r}")
         triple_list.append(triple)
         outgoing.setdefault(triple.head, []).append(triple)
         freq[triple.relation] += 1

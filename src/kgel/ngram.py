@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 from typing import Collection, Iterable, Sequence, TextIO
 
 from .errors import EmptyCorpusError, MalformedModelError
@@ -169,16 +170,18 @@ def load_model(path: str | Path) -> NGramModel:
             # context that recurs after another still land in the same
             # table, so duplicates are caught in any row order.
             previous_field = None
-            for line_no, raw in enumerate(fp, start=4):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
+            # Universal newlines end every line but the last in a single
+            # "\n"; it stays on the count field, which int() strips.
+            for line_no, line in enumerate(fp, start=4):
                 fields = line.split("\t")
                 if len(fields) != 3:
+                    if line == "\n":
+                        continue
                     raise MalformedModelError(src, line_no, "expected 3 tab-separated fields")
                 context_field, token, count_field = fields
+                token = intern(token)
                 if context_field != previous_field:
-                    context = tuple(context_field.split(" ")) if context_field else ()
+                    context = tuple(map(intern, context_field.split(" "))) if context_field else ()
                     if len(context) >= order:
                         raise MalformedModelError(src, line_no, "context longer than order allows")
                     counter = counts.get(context)

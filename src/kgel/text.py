@@ -1,9 +1,14 @@
 """Surface-form normalization shared by dedup, the trie, the lookup table and
 the n-gram scorer: case-fold and collapse runs of whitespace."""
 
+from sys import intern
+
 
 def tokenize(text: str) -> list[str]:
-    return text.casefold().split()
+    """The normalized tokens of ``text``, interned: every table built from
+    them (n-gram counts, trie children) holds one object per distinct token,
+    and the tables share those objects with one another."""
+    return list(map(intern, text.casefold().split()))
 
 
 def normalize(text: str) -> str:

@@ -168,9 +168,6 @@ def constrained_beam_search(
     scorer: Scorer,
     beam_width: int = 5,
     max_len: int | None = None,
-    *,
-    length_normalize: bool = False,
-    trace: Callable[[tuple[str, ...], float], None] | None = None,
 ) -> list[tuple[tuple[str, ...], float]]:
     """Beam search where each step's candidates are exactly the trie children.
 
@@ -178,10 +175,9 @@ def constrained_beam_search(
     expanding if the node has children). Hypotheses are ranked by descending
     score, ties broken lexicographically by token sequence. ``max_len``
     defaults to the trie depth, which guarantees completion on a non-empty
-    trie. ``trace`` sees every expansion the search materialises, with its
-    prefix and cumulative score. Raises NoHypothesisError when nothing
-    completes, NonFiniteScoreError when the scorer returns NaN or an infinity,
-    and ValueError when it scores a token that is not a candidate (or, for a
+    trie. Raises NoHypothesisError when nothing completes,
+    NonFiniteScoreError when the scorer returns NaN or an infinity, and
+    ValueError when it scores a token that is not a candidate (or, for a
     scorer with only ``score_next``, misses one).
     """
     if beam_width < 1:
@@ -215,13 +211,10 @@ def constrained_beam_search(
                     expansions.append((prefix + (token,), score + default, child))
         if not expansions:
             break
-        if trace is not None:
-            for prefix, score, _ in expansions:
-                trace(prefix, score)
         beams = heapq.nsmallest(beam_width, expansions, key=lambda item: (-item[1], item[0]))
         for prefix, score, node in beams:
             if node.entity_ids:
-                completed.append((prefix, score / len(prefix) if length_normalize else score))
+                completed.append((prefix, score))
 
     if not completed:
         raise NoHypothesisError("no surface form completed within max_len")

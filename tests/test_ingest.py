@@ -7,6 +7,9 @@ from conftest import TOY_DATASET, TOY_KG_DIR
 
 from kgel.errors import (
     DanglingEntityError,
+    DanglingRelationError,
+    DuplicateEntityError,
+    DuplicateRelationError,
     KgelError,
     LineError,
     MalformedLineError,
@@ -148,6 +151,38 @@ class TestParseKgDir:
             parse_kg_dir(path)
         except KgelError:
             pass
+
+    @pytest.mark.parametrize(
+        "files, error, name, line_no, reason",
+        [
+            ({"concepts": "C1\ta\nC2\tb\nC1\tc\n"}, DuplicateEntityError, "concepts.tsv", 3, "duplicate concept id 'C1'"),
+            ({"concepts": "C1\ta\n", "synonyms": "C1\tx\nC2\ty\n"}, DanglingEntityError, "synonyms.tsv", 2, "unknown concept id 'C2'"),
+            ({"concepts": "C1\ta\n", "definitions": "C3\td\n"}, DanglingEntityError, "definitions.tsv", 1, "unknown concept id 'C3'"),
+            ({"concepts": "C1\ta\n", "relations": "r\tx\nr\ty\n"}, DuplicateRelationError, "relations.tsv", 2, "duplicate relation id 'r'"),
+            (
+                {"concepts": "C1\ta\n", "relations": "r\tx\n", "triples": "C1\tr\tC1\nC9\tr\tC1\n"},
+                DanglingEntityError, "triples.tsv", 2, "unknown head concept 'C9'",
+            ),
+            (
+                {"concepts": "C1\ta\n", "relations": "r\tx\n", "triples": "C1\tr\tC9\n"},
+                DanglingEntityError, "triples.tsv", 1, "unknown tail concept 'C9'",
+            ),
+            (
+                {"concepts": "C1\ta\n", "relations": "r\tx\n", "triples": "C1\tq\tC1\n"},
+                DanglingRelationError, "triples.tsv", 1, "unknown relation 'q'",
+            ),
+        ],
+        ids=["duplicate-concept", "synonym-concept", "definition-concept", "duplicate-relation", "head", "tail", "relation"],
+    )
+    def test_reference_errors_are_line_errors(self, tmp_path, files, error, name, line_no, reason):
+        write_kg_files(tmp_path, **files)
+        with pytest.raises(error) as exc:
+            parse_kg_dir(tmp_path)
+        assert isinstance(exc.value, LineError)
+        assert exc.value.path == str(tmp_path / name)
+        assert exc.value.line_no == line_no
+        assert exc.value.reason == reason
+        assert str(exc.value) == f"{tmp_path / name}:{line_no}: {reason}"
 
     def test_repeated_preferred_name_in_synonyms_is_dropped(self, tmp_path):
         write_kg_files(tmp_path, concepts="C1\tAlpha\n", synonyms="C1\talpha\nC1\tbeta\n")

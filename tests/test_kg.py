@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgel.errors import (
     DanglingEntityError,
     DanglingRelationError,
     DuplicateEntityError,
     DuplicateRelationError,
+    LineError,
 )
 from kgel.kg import Entity, Relation, Triple, build_kg, kg_stats
+from kgel.text import normalize
 
 
 def entity(eid, name, synonyms=(), definition=None):
@@ -44,6 +46,41 @@ class TestEntity:
         assert entity("C1", "a", definition="").definition is None
 
 
+def reference_make(id, preferred_name, synonyms=(), definition=None):
+    """``Entity.make`` as it was before it validated in one pass: drop the
+    duplicates, then construct with every check of ``__post_init__``."""
+    ordered = [preferred_name]
+    seen = {normalize(preferred_name)}
+    for syn in synonyms:
+        key = normalize(syn)
+        if key not in seen:
+            seen.add(key)
+            ordered.append(syn)
+    return Entity(id=id, preferred_name=preferred_name, synonyms=tuple(ordered), definition=definition or None)
+
+
+def outcome(make, *args):
+    try:
+        return make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Mostly valid ids, names and definitions, and synonyms as short strings
+# over the characters the checks look at; None stands for a value of the
+# wrong type.
+ID = st.sampled_from(["C1", "C1", "C1", "", "C\t1", "C\r1", None])
+NAME = st.sampled_from(["a", "a", "A b", "b", "", " ", "a\n", None])
+SYNONYM = st.one_of(st.none(), st.text(alphabet=st.sampled_from(["a", "A", "b", " ", "\t", "\n", "\r"]), max_size=3))
+DEFINITION = st.sampled_from([None, "", "d", "d\td", "d\nd", "d\rd"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(id=ID, name=NAME, synonyms=st.lists(SYNONYM, max_size=4), definition=DEFINITION)
+def test_make_accepts_and_rejects_as_direct_construction(id, name, synonyms, definition):
+    assert outcome(Entity.make, id, name, synonyms, definition) == outcome(reference_make, id, name, synonyms, definition)
+
+
 class TestBuildKg:
     def test_single_edge(self):
         kg = build_kg(
@@ -70,6 +107,31 @@ class TestBuildKg:
     def test_duplicate_relation_id(self):
         with pytest.raises(DuplicateRelationError):
             build_kg([entity("A", "a")], [Relation("r", "x"), Relation("r", "y")], [])
+
+    @pytest.mark.parametrize(
+        "parts, error, reason",
+        [
+            (([entity("A", "a"), entity("A", "b")], [], []), DuplicateEntityError, "duplicate entity id 'A'"),
+            (([], [Relation("r", "x"), Relation("r", "y")], []), DuplicateRelationError, "duplicate relation id 'r'"),
+            (
+                ([entity("A", "a")], [Relation("r", "rel")], [Triple("B", "r", "A")]),
+                DanglingEntityError,
+                "triple Triple(head='B', relation='r', tail='A') references unknown entity 'B'",
+            ),
+            (
+                ([entity("A", "a")], [Relation("r", "rel")], [Triple("A", "q", "A")]),
+                DanglingRelationError,
+                "triple Triple(head='A', relation='q', tail='A') references unknown relation 'q'",
+            ),
+        ],
+        ids=["duplicate-entity", "duplicate-relation", "dangling-entity", "dangling-relation"],
+    )
+    def test_reference_errors_carry_no_location(self, parts, error, reason):
+        with pytest.raises(error) as exc:
+            build_kg(*parts)
+        assert isinstance(exc.value, LineError)
+        assert (exc.value.path, exc.value.line_no, exc.value.reason) == (None, None, reason)
+        assert str(exc.value) == reason
 
     def test_self_loop_accepted(self):
         kg = build_kg([entity("A", "a")], [Relation("r", "rel")], [Triple("A", "r", "A")])

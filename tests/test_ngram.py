@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -245,6 +246,41 @@ class TestFinetuneTargets:
         assert finetune_targets(kg, docs) == ["[BOS] aspirin is aspirin [EOS]"]
 
 
+def model_tokens(model):
+    """Every token object a model holds: context elements, table keys and the
+    vocabulary."""
+    for context, table in model.counts.items():
+        yield from context
+        yield from table
+    for context in model.totals:
+        yield from context
+    yield from model.vocab
+
+
+def surface_lines(kg):
+    return [f"[BOS] {synonym} is {synonym} [EOS]" for entity in kg.entities.values() for synonym in entity.synonyms]
+
+
+class TestSharedTokens:
+    """The tables hold one interned ``str`` per distinct token, not a copy per
+    row or per line."""
+
+    def test_tokenize_interns(self):
+        tokens = tokenize("Heart ATTACK heart attack")
+        assert tokens[0] is tokens[2] and tokens[1] is tokens[3]
+        assert all(token is sys.intern(token) for token in tokens)
+
+    def test_train_interns_every_token(self, toy_kg):
+        model = train(surface_lines(toy_kg), order=3)
+        assert all(token is sys.intern(token) for token in model_tokens(model))
+
+    def test_load_model_interns_every_token(self, toy_kg, tmp_path):
+        path = tmp_path / "model.tsv"
+        with open(path, "w", encoding="utf-8") as fp:
+            save_model(train(surface_lines(toy_kg), order=3), fp)
+        assert all(token is sys.intern(token) for token in model_tokens(load_model(path)))
+
+
 class TestModelIO:
     def test_bit_exact_round_trip(self, tmp_path):
         model = train(["[BOS] a b c [EOS]", "[BOS] c b a [EOS]", "[BOS] a is b [EOS]"], order=3)
@@ -341,6 +377,30 @@ class TestModelIO:
             load_model(path)
         assert type(info.value) is MalformedModelError
         assert (info.value.path, info.value.line_no, info.value.reason) == (str(path), line_no, reason)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (b"\ta\t1\r\n\r\n\n\r\tb\t2", {(): {"a": 1, "b": 2}}),
+            (b"\ta\t 3 \n\tb\t4\r\n", {(): {"a": 3, "b": 4}}),
+            (b"\ta\t1\n\tb\n", (5, "expected 3 tab-separated fields")),
+            (b"\ta\t1\n \n", (5, "expected 3 tab-separated fields")),
+            (b"\ta\t1\n\tb\t\n", (5, "bad count")),
+            (b"\ta\t1\n\tb\tx\r\n", (5, "bad count")),
+            (b"\ta\t0\n", (4, "counts must be positive")),
+            (b"a b\tc\t1\n", (4, "context longer than order allows")),
+        ],
+        ids=["blank_lines", "padded_counts", "two_fields", "space_line", "empty_count", "bad_count", "zero_count", "long_context"],
+    )
+    def test_rows(self, tmp_path, rows, expected):
+        path = tmp_path / "model.tsv"
+        path.write_bytes(b"kgel-ngram-v1\n2\n2\n" + rows)
+        if isinstance(expected, dict):
+            assert load_model(path).counts == expected
+        else:
+            with pytest.raises(MalformedModelError) as info:
+                load_model(path)
+            assert (info.value.line_no, info.value.reason) == expected
 
     def test_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "dup.tsv"

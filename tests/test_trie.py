@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from conftest import HashScorer, enumerate_hypotheses, random_surface_set
 
 from kgel.errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from kgel.kg import Entity, build_kg
-from kgel.ngram import condition_on_mention, train
+from kgel.ngram import condition_on_mention, load_model, save_model, train
 from kgel.trie import TokenTrie, UniformScorer, build_trie, constrained_beam_search
 
 
@@ -50,6 +51,34 @@ class TestBuildTrie:
         assert trie.max_depth == 2
         # root + acute + pain + stress + ap
         assert trie.node_count == 5
+
+
+def trie_keys(trie):
+    """Every child key of every node, reached through ``allowed_next``."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        children, _ = trie.allowed_next(prefix)
+        for token in children:
+            yield token
+            stack.append(prefix + (token,))
+
+
+class TestSharedTokens:
+    def test_child_keys_are_interned(self, toy_kg):
+        keys = list(trie_keys(build_trie(toy_kg)))
+        assert keys and all(token is sys.intern(token) for token in keys)
+
+    def test_model_and_trie_share_token_objects(self, toy_kg, tmp_path):
+        trie = build_trie(toy_kg)
+        lines = [f"[BOS] {s} [EOS]" for entity in toy_kg.entities.values() for s in entity.synonyms]
+        trained = train(lines, order=3)
+        path = tmp_path / "model.tsv"
+        with open(path, "w", encoding="utf-8") as fp:
+            save_model(trained, fp)
+        for model in (trained, load_model(path)):
+            tokens = {token: token for token in model.counts[()]}
+            assert all(tokens[key] is key for key in trie_keys(trie))
 
 
 class TestAllowedNext:
@@ -136,13 +165,29 @@ class TestBeamSearch:
         for tokens, _ in constrained_beam_search(trie, UniformScorer(), beam_width=4):
             assert trie.entities_at(tokens)
 
-    def test_closure_via_trace(self, toy_kg):
+    def test_closure_via_recording_scorer(self, toy_kg):
+        """Every prefix search scores is in the trie, and its candidates are
+        exactly that prefix's children, on the dense and the sparse path."""
         trie = build_trie(toy_kg)
         seen = []
-        constrained_beam_search(trie, HashScorer(), beam_width=3, trace=lambda p, s: seen.append(p))
-        assert seen
-        for prefix in seen:
-            trie.allowed_next(prefix)  # raises InvalidPrefixError on a violation
+
+        class RecordingDense:
+            def score_next(self, prefix, candidates):
+                seen.append((tuple(prefix), set(candidates)))
+                return HashScorer().score_next(prefix, candidates)
+
+        class RecordingSparse:
+            def score_sparse(self, prefix, candidates):
+                seen.append((tuple(prefix), set(candidates)))
+                return UniformScorer().score_sparse(prefix, candidates)
+
+        for scorer in (RecordingDense(), RecordingSparse()):
+            seen.clear()
+            constrained_beam_search(trie, scorer, beam_width=3)
+            assert seen
+            for prefix, candidates in seen:
+                # allowed_next raises InvalidPrefixError for a prefix outside the trie.
+                assert trie.allowed_next(prefix)[0] == candidates
 
     def test_scorer_must_cover_candidates(self):
         trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"]})
@@ -188,18 +233,6 @@ class TestBeamSearch:
 
         with pytest.raises(NonFiniteScoreError):
             constrained_beam_search(trie, Poisoned(), beam_width=3)
-
-    def test_length_normalization_option(self):
-        trie = TokenTrie.from_surfaces({"a": ["C0"], "b b b": ["C1"]})
-
-        class PreferLong:
-            def score_next(self, prefix, candidates):
-                return {t: (-0.4 if t == "b" else -0.5) for t in candidates}
-
-        raw = constrained_beam_search(trie, PreferLong(), beam_width=4)
-        normalized = constrained_beam_search(trie, PreferLong(), beam_width=4, length_normalize=True)
-        assert raw[0][0] == ("a",)
-        assert normalized[0][0] == ("b", "b", "b")
 
 
 class TestOracleEquivalence:
@@ -251,10 +284,9 @@ class TestSparseEquivalence:
         seed=st.integers(0, 2**32 - 1),
         order=st.integers(1, 4),
         width=st.integers(1, 8),
-        length_normalize=st.booleans(),
         kind=st.sampled_from(["model", "conditioned", "uniform"]),
     )
-    def test_sparse_equals_dense(self, seed, order, width, length_normalize, kind):
+    def test_sparse_equals_dense(self, seed, order, width, kind):
         rng = random.Random(seed)
         # Upper-casing some surfaces inserts trie children out of token order.
         surfaces = [s.upper() if rng.random() < 0.3 else s for s in random_surface_set(rng, max_surfaces=60)]
@@ -270,6 +302,6 @@ class TestSparseEquivalence:
             scorer = condition_on_mention(model, " ".join(rng.sample(self.WORDS, rng.randint(0, 3))))
         else:
             scorer = UniformScorer()
-        sparse = constrained_beam_search(trie, scorer, width, length_normalize=length_normalize)
-        dense = constrained_beam_search(trie, DenseOnly(scorer), width, length_normalize=length_normalize)
+        sparse = constrained_beam_search(trie, scorer, width)
+        dense = constrained_beam_search(trie, DenseOnly(scorer), width)
         assert sparse == dense
