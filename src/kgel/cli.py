@@ -21,7 +21,8 @@ import json
 import os
 import stat
 import sys
-from typing import TextIO
+from itertools import chain
+from typing import Iterable, TextIO
 
 from . import __version__
 from .errors import KgelError
@@ -128,6 +129,12 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
+def _finetune_lines(kg_dir: str, dataset: str) -> list[str]:
+    """The dataset's linking-template lines. The graph and the documents they
+    are drawn from are freed on return."""
+    return finetune_targets(parse_kg_dir(kg_dir), parse_dataset(dataset))
+
+
 def cmd_train_scorer(args) -> int:
     if not args.corpus and not args.dataset:
         raise KgelError("nothing to train on: pass --corpus and/or --dataset with --kg")
@@ -135,16 +142,18 @@ def cmd_train_scorer(args) -> int:
         raise KgelError("--dataset requires --kg to resolve gold entities")
     # train-scorer takes no --seed; its header records the default anyway
     config = {"command": "train-scorer", "seed": DEFAULT_SEED, "order": args.order}
-    targets: list[str] = []
-    if args.corpus:
-        config["corpus"] = args.corpus
-        targets.extend(corpus_targets(args.corpus))
+    # The KG and the dataset are read, and released, before counting starts;
+    # the corpus is then read as train consumes it. So their errors come
+    # before the corpus's, and counting holds only the count tables.
+    finetune_lines: list[str] = []
     if args.dataset:
         config.update({"dataset": args.dataset, "kg": args.kg})
-        kg = parse_kg_dir(args.kg)
-        docs = parse_dataset(args.dataset)
-        targets.extend(finetune_targets(kg, docs))
-    model = train(targets, args.order)
+        finetune_lines = _finetune_lines(args.kg, args.dataset)
+    corpus: Iterable[str] = ()
+    if args.corpus:
+        config["corpus"] = args.corpus
+        corpus = corpus_targets(args.corpus)
+    model = train(chain(corpus, finetune_lines), args.order)
     with _open_output(args.out) as fp:
         save_model(model, fp, config=config)
     _info(f"trained order-{model.order} model over {model.vocab_size} token vocabulary")

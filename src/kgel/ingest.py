@@ -39,7 +39,7 @@ from .errors import (
     OverlappingMentionsError,
     SpanOutOfBoundsError,
 )
-from .kg import Entity, KnowledgeGraph, Relation, Triple, build_kg
+from .kg import Entity, KnowledgeGraph, Relation, Triple, _unchecked, build_kg
 
 REQUIRED_KG_FILES = ("concepts.tsv", "synonyms.tsv", "relations.tsv", "triples.tsv")
 KG_TSV_FORMAT = "kgel-kg-tsv-v1"
@@ -198,13 +198,15 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
                 raise MalformedLineError(definitions_path, line_no, f"duplicate definition for {cui!r}")
             definitions[cui] = definition
 
+    # _split leaves every field non-empty and tab-free, and no line holds a
+    # "\n" or "\r", so relations and triples pass their checks already.
     relations_path = base / "relations.tsv"
     relations: dict[str, Relation] = {}
     for line_no, line in _lines(relations_path):
         rid, label = _split(relations_path, line_no, line, 2)
         if rid in relations:
             raise DuplicateRelationError(relations_path, line_no, f"duplicate relation id {rid!r}")
-        relations[rid] = Relation(rid, label)
+        relations[rid] = _unchecked(Relation, rid, label)
 
     triples_path = base / "triples.tsv"
     triples: list[Triple] = []
@@ -216,7 +218,7 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
             raise DanglingEntityError(triples_path, line_no, f"unknown tail concept {tail!r}")
         if rid not in relations:
             raise DanglingRelationError(triples_path, line_no, f"unknown relation {rid!r}")
-        triples.append(Triple(head, rid, tail))
+        triples.append(_unchecked(Triple, head, rid, tail))
 
     entities = []
     for cui, name in names.items():

@@ -30,6 +30,16 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"{what} {value!r} contains tab or newline characters")
 
 
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with ``values`` as its
+    fields, in order: what the generated ``__init__`` does, without
+    ``__post_init__``. Only for values whose checks the caller has made."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_surface(value: str, what: str) -> None:
     _check_id(value, what)
 
@@ -94,13 +104,7 @@ class Entity:
         for syn in ordered[1:]:
             _check_surface(syn, f"synonym of {id}")
         _check_definition(id, definition)
-        # What the generated __init__ does, without __post_init__.
-        entity = object.__new__(cls)
-        object.__setattr__(entity, "id", id)
-        object.__setattr__(entity, "preferred_name", preferred_name)
-        object.__setattr__(entity, "synonyms", tuple(ordered))
-        object.__setattr__(entity, "definition", definition)
-        return entity
+        return _unchecked(cls, id, preferred_name, tuple(ordered), definition)
 
 
 @dataclass(frozen=True)

@@ -293,8 +293,12 @@ def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
         yield TrainingSample(source, target, kind, concept)
 
 
-def corpus_targets(path: str | Path) -> list[str]:
-    targets = [target for _, target, _, _ in _corpus_records(path)]
-    if not targets:
+def corpus_targets(path: str | Path) -> Iterator[str]:
+    """The target of every corpus record, read as it is consumed. Raises
+    ``EmptyCorpusError`` once exhausted if the file held no record."""
+    empty = True
+    for _, target, _, _ in _corpus_records(path):
+        empty = False
+        yield target
+    if empty:
         raise EmptyCorpusError(f"no samples in {path}")
-    return targets

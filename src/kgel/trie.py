@@ -16,11 +16,12 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from .kg import KnowledgeGraph
-from .text import normalize, tokenize
+from .text import tokenize
 
 TRIE_DUMP_FORMAT = "kgel-trie-dump-v1"
 
@@ -78,13 +79,41 @@ class TokenTrie:
     @classmethod
     def from_surfaces(cls, surface_owners: Mapping[str, Iterable[str]]) -> "TokenTrie":
         """Build from a map of surface form -> owning entity ids. Surfaces are
-        tokenized with the shared normalization."""
-        trie = cls()
+        tokenized with the shared normalization; a surface without owners
+        adds nothing."""
+        entries = []
         for surface in sorted(surface_owners):
             tokens = tokenize(surface)
             if not tokens:
                 raise EmptySurfaceError(f"surface {surface!r} normalizes to zero tokens")
-            trie._insert(tokens, surface_owners[surface])
+            entries.extend((owner, tokens) for owner in set(surface_owners[surface]))
+        entries.sort(key=itemgetter(0))
+        return cls._build(entries)
+
+    @classmethod
+    def _build(cls, entries: Iterable[tuple[str, Sequence[str]]]) -> "TokenTrie":
+        """Build from ``(owner, tokens)`` pairs in ascending owner order. Each
+        terminal's owners then arrive sorted, and a repeated owner always
+        repeats the last one, so appending keeps them sorted and distinct."""
+        trie = cls()
+        nodes, surfaces, max_depth = 1, 0, 0
+        for owner, tokens in entries:
+            node = trie._root
+            for token in tokens:
+                child = node.children.get(token)
+                if child is None:
+                    child = node.children[token] = _Node()
+                    nodes += 1
+                node = child
+            owners = node.entity_ids
+            if not owners:
+                node.entity_ids = (owner,)
+                surfaces += 1
+            elif owners[-1] != owner:
+                node.entity_ids = owners + (owner,)
+            if len(tokens) > max_depth:
+                max_depth = len(tokens)
+        trie._nodes, trie._surfaces, trie._max_depth = nodes, surfaces, max_depth
         stack = [trie._root]
         while stack:
             node = stack.pop()
@@ -92,20 +121,6 @@ class TokenTrie:
                 node.children = dict(sorted(node.children.items()))
             stack.extend(node.children.values())
         return trie
-
-    def _insert(self, tokens: Sequence[str], owners: Iterable[str]) -> None:
-        node = self._root
-        for token in tokens:
-            child = node.children.get(token)
-            if child is None:
-                child = _Node()
-                node.children[token] = child
-                self._nodes += 1
-            node = child
-        if not node.entity_ids:
-            self._surfaces += 1
-        node.entity_ids = tuple(sorted(set(node.entity_ids) | set(owners)))
-        self._max_depth = max(self._max_depth, len(tokens))
 
     def _walk(self, prefix: Sequence[str]) -> _Node:
         node = self._root
@@ -153,14 +168,16 @@ class TokenTrie:
 def build_trie(kg: KnowledgeGraph) -> TokenTrie:
     """Trie over every synonym of every entity; a terminal's payload lists all
     entities sharing that surface form."""
-    owners: dict[str, set[str]] = {}
-    for entity_id in sorted(kg.entities):
-        for synonym in kg.entities[entity_id].synonyms:
-            key = normalize(synonym)
-            if not key:
-                raise EmptySurfaceError(f"synonym {synonym!r} of {entity_id} normalizes to zero tokens")
-            owners.setdefault(key, set()).add(entity_id)
-    return TokenTrie.from_surfaces(owners)
+
+    def entries() -> Iterator[tuple[str, list[str]]]:
+        for entity_id in sorted(kg.entities):
+            for synonym in kg.entities[entity_id].synonyms:
+                tokens = tokenize(synonym)
+                if not tokens:
+                    raise EmptySurfaceError(f"synonym {synonym!r} of {entity_id} normalizes to zero tokens")
+                yield entity_id, tokens
+
+    return TokenTrie._build(entries())
 
 
 def constrained_beam_search(

@@ -1,10 +1,13 @@
 import gc
+import io
 import json
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import weakref
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,11 @@ import pytest
 from conftest import TOY_DATASET, TOY_KG_DIR, build_linkbench
 
 import kgel
+import kgel.cli
 from kgel.cli import main
-from kgel.ingest import write_dataset, write_kg_dir
+from kgel.ingest import parse_dataset, parse_kg_dir, write_dataset, write_kg_dir
+from kgel.ngram import finetune_targets, save_model, train
+from kgel.synthesis import corpus_targets
 
 
 def run(capsys, *argv):
@@ -368,6 +374,88 @@ class TestOutput:
         assert code == 2
         assert "[bos]" in err
         assert out.read_bytes() == self.STALE
+
+
+class TestTrainScorerStreaming:
+    """``train-scorer`` reads the KG and the dataset first and frees them, then
+    streams the corpus into ``train``."""
+
+    @pytest.fixture
+    def corpus(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        assert run(capsys, "synthesize", "--kg", str(TOY_KG_DIR), "--out", str(path))[0] == 0
+        return path
+
+    def argv(self, corpus, out, kg=TOY_KG_DIR):
+        return ["train-scorer", "--corpus", str(corpus), "--dataset", str(TOY_DATASET), "--kg", str(kg),
+                "--out", str(out)]
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        """What ``train`` is called with, and whether each KG that
+        ``parse_kg_dir`` returned is still alive at that call."""
+        kg_refs, calls = [], []
+
+        def parse_and_watch(path):
+            kg = parse_kg_dir(path)
+            kg_refs.append(weakref.ref(kg))
+            return kg
+
+        def train_and_watch(targets, order):
+            calls.append({"targets": type(targets), "live_kgs": sum(ref() is not None for ref in kg_refs)})
+            return train(targets, order)
+
+        monkeypatch.setattr(kgel.cli, "parse_kg_dir", parse_and_watch)
+        monkeypatch.setattr(kgel.cli, "train", train_and_watch)
+        return kg_refs, calls
+
+    def test_kg_is_freed_before_train_is_called(self, capsys, tmp_path, corpus, train_calls):
+        kg_refs, calls = train_calls
+        assert run(capsys, *self.argv(corpus, tmp_path / "m.tsv"))[0] == 0
+        assert len(kg_refs) == 1
+        assert [call["live_kgs"] for call in calls] == [0]
+
+    def test_train_receives_an_iterator(self, capsys, tmp_path, corpus, train_calls):
+        _, calls = train_calls
+        assert run(capsys, *self.argv(corpus, tmp_path / "m.tsv"))[0] == 0
+        assert len(calls) == 1
+        assert issubclass(calls[0]["targets"], Iterator)
+
+    def test_same_model_as_training_on_one_list(self, capsys, tmp_path, corpus):
+        out = tmp_path / "m.tsv"
+        assert run(capsys, *self.argv(corpus, out))[0] == 0
+        targets = list(corpus_targets(corpus)) + finetune_targets(parse_kg_dir(TOY_KG_DIR), parse_dataset(TOY_DATASET))
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        expected = io.StringIO()
+        save_model(train(targets), expected)
+        assert lines[1:] == expected.getvalue().splitlines(keepends=True)[1:]
+
+    def test_kg_error_comes_before_corpus_error(self, capsys, tmp_path):
+        kg_dir = tmp_path / "kg"
+        shutil.copytree(TOY_KG_DIR, kg_dir)
+        with open(kg_dir / "concepts.tsv", "a", encoding="utf-8") as fp:
+            fp.write("C0001\tagain\n")
+        bad_corpus = tmp_path / "corpus.jsonl"
+        bad_corpus.write_text("not json\n", encoding="utf-8")
+        code, _, err = run(capsys, *self.argv(bad_corpus, tmp_path / "m.tsv", kg=kg_dir))
+        assert code == 2
+        assert f"{kg_dir / 'concepts.tsv'}:6: duplicate concept id" in err
+        assert str(bad_corpus) not in err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["missing_out", "existing_out"])
+    def test_malformed_last_corpus_line_leaves_out_alone(self, capsys, tmp_path, corpus, existing):
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.write_text("".join(lines) + '{"source": "x"}\n', encoding="utf-8")
+        out = tmp_path / "m.tsv"
+        if existing:
+            out.write_bytes(TestOutput.STALE)
+        code, _, err = run(capsys, *self.argv(corpus, out))
+        assert code == 2
+        assert f"{corpus}:{len(lines) + 1}: corpus record keys" in err
+        if existing:
+            assert out.read_bytes() == TestOutput.STALE
+        else:
+            assert not out.exists()
 
 
 class TestPipeline:

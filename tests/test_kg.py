@@ -141,6 +141,34 @@ class TestBuildKg:
         assert toy_kg.relation_freq == {"r_treats": 5, "r_causes": 2}
 
 
+class TestParsedParts:
+    """``parse_kg_dir`` builds relations and triples without re-running the
+    checks its line splitting already guarantees."""
+
+    def test_equal_to_checked_construction(self, toy_kg):
+        assert toy_kg.triples
+        for triple in toy_kg.triples:
+            assert triple == Triple(triple.head, triple.relation, triple.tail)
+        assert toy_kg.relations
+        for relation in toy_kg.relations.values():
+            assert relation == Relation(relation.id, relation.label)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Triple("", "r", "t"),
+            lambda: Triple("h", "r\tx", "t"),
+            lambda: Triple("h", "r", "t\n"),
+            lambda: Relation("", "label"),
+            lambda: Relation("r", "la\rbel"),
+        ],
+        ids=["empty_head", "tab_relation", "newline_tail", "empty_relation_id", "return_in_label"],
+    )
+    def test_direct_construction_is_still_checked(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestKgStats:
     def test_toy_fixture(self, toy_kg):
         stats = kg_stats(toy_kg)

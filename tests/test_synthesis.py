@@ -5,10 +5,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgel.errors import KgelError, MalformedLineError, NoTriplesError, SpecialTokenError, UnknownSynonymError
+from kgel.errors import (
+    EmptyCorpusError,
+    KgelError,
+    MalformedLineError,
+    NoTriplesError,
+    SpecialTokenError,
+    UnknownSynonymError,
+)
 from kgel.kg import Entity, Relation, Triple, build_kg
 from kgel.synthesis import (
     TrainingSample,
+    corpus_targets,
     make_source,
     read_corpus,
     relation_probabilities,
@@ -425,6 +433,15 @@ class TestCorpusIO:
             list(read_corpus(path))
         assert exc.value.line_no == 4
         assert "invalid UTF-8" in exc.value.reason
+
+    @pytest.mark.parametrize("text", ["", "\n\n", '{"kgel": {"format": "kgel-corpus-v1"}}\n'],
+                             ids=["empty", "blank_lines", "header_only"])
+    def test_corpus_targets_raises_empty_once_exhausted(self, tmp_path, text):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text, encoding="utf-8")
+        targets = corpus_targets(path)
+        with pytest.raises(EmptyCorpusError, match="no samples in"):
+            next(targets)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.binary(max_size=200))

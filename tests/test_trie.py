@@ -10,6 +10,7 @@ from conftest import HashScorer, enumerate_hypotheses, random_surface_set
 from kgel.errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import condition_on_mention, load_model, save_model, train
+from kgel.text import normalize, tokenize
 from kgel.trie import TokenTrie, UniformScorer, build_trie, constrained_beam_search
 
 
@@ -51,6 +52,67 @@ class TestBuildTrie:
         assert trie.max_depth == 2
         # root + acute + pain + stress + ap
         assert trie.node_count == 5
+
+
+# Surfaces over a few words with case and whitespace variants, so that
+# entities share surfaces under normalization without sharing spelling.
+SURFACE = st.builds(
+    lambda words, sep, pad: pad + sep.join(words) + pad,
+    st.lists(st.sampled_from(["a", "A", "b", "B", "ab", "aB"]), min_size=1, max_size=3),
+    st.sampled_from([" ", "  ", "\u00a0"]),
+    st.sampled_from(["", " "]),
+)
+
+
+@st.composite
+def shared_surface_kgs(draw):
+    ids = draw(st.lists(st.sampled_from([f"C{i}" for i in range(12)]), min_size=1, max_size=8, unique=True))
+    entities = []
+    for entity_id in ids:
+        surfaces = draw(st.lists(SURFACE, min_size=1, max_size=4))
+        entities.append(Entity.make(entity_id, surfaces[0], surfaces[1:]))
+    return build_kg(entities, [], [])
+
+
+def owner_map(kg):
+    """Normalized surface -> set of owning entity ids."""
+    owners = {}
+    for entity_id in sorted(kg.entities):
+        for synonym in kg.entities[entity_id].synonyms:
+            owners.setdefault(normalize(synonym), set()).add(entity_id)
+    return owners
+
+
+def dump_from_owner_map(owners):
+    """The preorder dump, written without a trie: lexicographic order of
+    token tuples is preorder with children in sorted token order."""
+    terminals = {tuple(tokenize(surface)): ",".join(sorted(ids)) for surface, ids in owners.items()}
+    prefixes = sorted({tokens[:depth] for tokens in terminals for depth in range(1, len(tokens) + 1)})
+    return "".join(
+        f"{len(prefix)}\t{prefix[-1]}\t{int(prefix in terminals)}\t{terminals.get(prefix, '')}\n" for prefix in prefixes
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_surface_kgs())
+def test_build_trie_matches_the_owner_map(kg):
+    owners = owner_map(kg)
+    trie = build_trie(kg)
+    reference = TokenTrie.from_surfaces(owners)
+    shape = lambda t: (t.dump(), len(t), t.node_count, t.max_depth)
+    assert shape(trie) == shape(reference)
+    expected_dump = dump_from_owner_map(owners)
+    assert trie.dump() == expected_dump
+    assert len(trie) == len(owners)
+    assert trie.node_count == 1 + expected_dump.count("\n")
+    assert trie.max_depth == max(len(tokenize(surface)) for surface in owners)
+
+
+def test_from_surfaces_sorts_and_deduplicates_owners():
+    trie = TokenTrie.from_surfaces({"x y": ["C2", "C0", "C2"], "X  y": ("C1", "C0"), "z": []})
+    assert trie.entities_at(["x", "y"]) == ("C0", "C1", "C2")
+    assert len(trie) == 1
+    assert trie.node_count == 3
 
 
 def trie_keys(trie):
