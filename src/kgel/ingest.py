@@ -39,7 +39,7 @@ from .errors import (
     OverlappingMentionsError,
     SpanOutOfBoundsError,
 )
-from .kg import Entity, KnowledgeGraph, Relation, Triple, _unchecked, build_kg
+from .kg import Entity, KnowledgeGraph, Relation, Triple, _check_definition, _unchecked, _unique_synonyms, build_kg
 
 REQUIRED_KG_FILES = ("concepts.tsv", "synonyms.tsv", "relations.tsv", "triples.tsv")
 KG_TSV_FORMAT = "kgel-kg-tsv-v1"
@@ -220,12 +220,16 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
             raise DanglingRelationError(triples_path, line_no, f"unknown relation {rid!r}")
         triples.append(_unchecked(Triple, head, rid, tail))
 
+    # The ids, names and synonyms are _split fields as well, so entities are
+    # built as Entity.make builds them, without its field checks.
     entities = []
     for cui, name in names.items():
+        definition = definitions.get(cui)
         try:
-            entities.append(Entity.make(cui, name, synonyms.get(cui, ()), definitions.get(cui)))
+            _check_definition(cui, definition)
         except ValueError as exc:
             raise MalformedLineError(concepts_path, concept_lines[cui], f"invalid concept {cui!r}: {exc}") from exc
+        entities.append(_unchecked(Entity, cui, name, _unique_synonyms(name, synonyms.get(cui, ())), definition))
 
     return build_kg(entities, relations.values(), triples)
 

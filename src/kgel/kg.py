@@ -90,21 +90,29 @@ class Entity:
         It rejects what direct construction rejects, with the same error, in
         one pass: the preferred name is first and no two kept synonyms
         normalize alike by construction, so those checks are not repeated."""
-        ordered = [preferred_name]
-        seen = {normalize(preferred_name)}
-        for syn in synonyms:
-            key = normalize(syn)
-            if key in seen:
-                continue
-            seen.add(key)
-            ordered.append(syn)
+        ordered = _unique_synonyms(preferred_name, synonyms)
         definition = definition or None
         _check_id(id, "entity id")
         _check_surface(preferred_name, "preferred name")
         for syn in ordered[1:]:
             _check_surface(syn, f"synonym of {id}")
         _check_definition(id, definition)
-        return _unchecked(cls, id, preferred_name, tuple(ordered), definition)
+        return _unchecked(cls, id, preferred_name, ordered, definition)
+
+
+def _unique_synonyms(preferred_name: str, synonyms: Iterable[str]) -> tuple[str, ...]:
+    """The preferred name, then the synonyms that no earlier one equals under
+    :func:`kgel.text.normalize`, in order: ``Entity.synonyms`` as
+    :meth:`Entity.make` builds it."""
+    ordered = [preferred_name]
+    seen = {normalize(preferred_name)}
+    for syn in synonyms:
+        key = normalize(syn)
+        if key in seen:
+            continue
+        seen.add(key)
+        ordered.append(syn)
+    return tuple(ordered)
 
 
 @dataclass(frozen=True)

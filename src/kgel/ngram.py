@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import add, getitem
 from pathlib import Path
 from sys import intern
-from typing import Collection, Iterable, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
 
 from .errors import EmptyCorpusError, MalformedModelError
 from .ingest import Document, locate_invalid_utf8
@@ -29,23 +33,155 @@ from .text import tokenize
 
 NGRAM_FORMAT = "kgel-ngram-v1"
 DEFAULT_ORDER = 3
+# Rows that save_model formats per write.
+_SAVE_ROWS = 1 << 14
+
+
+def _column(bound: int, size: int = 0) -> MutableSequence[int]:
+    """A column of ``size`` zeros for ints in ``range(bound)``: the narrowest
+    unsigned ``array`` that holds them, or a plain list when 64 bits do not."""
+    for code in "IQ":
+        if bound <= 1 << 8 * array(code).itemsize:
+            return array(code, [0]) * size
+    return [0] * size
+
+
+def _like(column: MutableSequence[int], values: Iterable[int]) -> MutableSequence[int]:
+    """``values`` in a column of ``column``'s type, for slice assignment."""
+    return array(column.typecode, values) if isinstance(column, array) else list(values)
+
+
+def _holding(column: MutableSequence[int], value: int) -> MutableSequence[int]:
+    """``column`` if ``value`` fits it; otherwise a copy of it in the
+    narrowest column that holds ``value``, which is then above every entry."""
+    if isinstance(column, array) and value >> 8 * column.itemsize:
+        wider = _column(value + 1)
+        wider.extend(iter(column))
+        return wider
+    return column
 
 
 @dataclass(frozen=True)
 class NGramModel:
     """Counts for every context length below ``order``, so prefixes shorter
-    than order-1 still condition on what is available. ``counts`` maps each
-    context to a plain ``{token: count}`` dict; a token never seen after the
-    context is absent, not zero."""
+    than order-1 still condition on what is available.
+
+    ``tokens`` is the sorted vocabulary; the digit of ``tokens[i]`` is
+    ``i + 1``. Each (context, token, count) row is one entry of the parallel
+    columns ``row_keys`` and ``row_counts``. A row's key is the digits of its
+    context tokens, then zeros up to ``order - 1`` places, then its token's
+    digit, read as a number in base ``len(tokens) + 1``. Numeric key order is
+    therefore (context, token) order, the order ``save_model`` writes, and the
+    columns are kept in it: a context's rows are one slice, found by bisection.
+    Each column is an unsigned ``array`` as narrow as its values allow, or a
+    list of ints when keys need more than 64 bits. ``counts`` and ``totals``
+    are fresh dict snapshots of the rows; scoring never reads them."""
 
     order: int
-    counts: dict[tuple[str, ...], dict[str, int]]
-    totals: dict[tuple[str, ...], int]
-    vocab: frozenset[str]
+    tokens: tuple[str, ...]
+    row_keys: Sequence[int] = field(repr=False)
+    row_counts: Sequence[int] = field(repr=False)
+    vocab: frozenset[str] = field(init=False, repr=False, compare=False)
+    _digits: dict[str, int] = field(init=False, repr=False, compare=False)
+    # _scales[n] is the place value of the last digit of an n-token context.
+    _scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        base = len(self.tokens) + 1
+        object.__setattr__(self, "vocab", frozenset(self.tokens))
+        object.__setattr__(self, "_digits", {token: digit for digit, token in enumerate(self.tokens, 1)})
+        object.__setattr__(self, "_scales", tuple(base ** (self.order - n) for n in range(self.order)))
+
+    @classmethod
+    def from_counts(cls, order: int, counts: Mapping[tuple[str, ...], Mapping[str, int]]) -> NGramModel:
+        """The model of ``{context: {token: count}}`` tables; the vocabulary
+        is the token set of the ``()`` table."""
+        tokens = tuple(sorted(counts.get((), ())))
+        base = len(tokens) + 1
+        digits = {token: digit for digit, token in enumerate(tokens, 1)}
+        if max(map(len, counts), default=0) >= order:
+            raise ValueError("context longer than order allows")
+        # Both columns are made at their full size and filled a group at a
+        # time: growing them would copy them, and the count tables are still
+        # held, so a copy would add to the peak memory of training.
+        size = sum(map(len, counts.values()))
+        keys = _column(base**order, size)
+        values = _column(0, size)
+        end = 0
+        # places[i][token] is the token's digit times the place value of context
+        # position i, so the start of a context (see _start) is a sum of places.
+        places = [{token: digit * base ** (order - 1 - i) for token, digit in digits.items()} for i in range(order - 1)]
+        try:
+            # Contexts grouped by their first token's digit (0 for ``()``):
+            # each group is sorted on its own, then its rows go into the
+            # columns through C-level maps, a group at a time.
+            groups: list[list[tuple[str, ...]]] = [[] for _ in range(base)]
+            for context in counts:
+                groups[digits[context[0]] if context else 0].append(context)
+            for group in filter(None, groups):
+                group.sort()
+                tables = list(map(counts.__getitem__, group))
+                sizes = list(map(len, tables))
+                row_tokens = list(chain.from_iterable(map(sorted, tables)))
+                starts = map(sum, map(map, repeat(getitem), repeat(places), group))
+                begin, end = end, end + len(row_tokens)
+                keys[begin:end] = _like(keys, map(add, chain.from_iterable(map(repeat, starts, sizes)), map(digits.__getitem__, row_tokens)))
+                row_counts = list(map(getitem, chain.from_iterable(map(repeat, tables, sizes)), row_tokens))
+                values = _holding(values, max(row_counts, default=0))
+                values[begin:end] = _like(values, row_counts)
+        except KeyError as exc:
+            raise ValueError(f"token {exc.args[0]!r} is not in the vocabulary") from None
+        return cls(order, tokens, keys, values)
 
     @property
     def vocab_size(self) -> int:
-        return len(self.vocab)
+        return len(self.tokens)
+
+    @property
+    def counts(self) -> dict[tuple[str, ...], dict[str, int]]:
+        """A snapshot ``{context: {token: count}}`` of the rows; a token never
+        seen after a context is absent, not zero."""
+        counts: dict[tuple[str, ...], dict[str, int]] = {}
+        for context, token, count in self._rows():
+            table = counts.get(context)
+            if table is None:
+                table = counts[context] = {}
+            table[token] = count
+        return counts
+
+    @property
+    def totals(self) -> dict[tuple[str, ...], int]:
+        """A snapshot ``{context: sum of its counts}``."""
+        return {context: sum(table.values()) for context, table in self.counts.items()}
+
+    def _rows(self) -> Iterator[tuple[tuple[str, ...], str, int]]:
+        """``(context, token, count)`` for every row, in key order."""
+        names = ("",) + self.tokens
+        base = len(names)
+        previous, context = None, ()
+        for key, count in zip(self.row_keys, self.row_counts):
+            start, digit = divmod(key, base)
+            if start != previous:
+                previous, places = start, []
+                for _ in range(self.order - 1):
+                    start, place = divmod(start, base)
+                    places.append(place)
+                # Real digits are positive; the zeros are padding.
+                context = tuple(names[place] for place in reversed(places) if place)
+            yield context, names[digit], count
+
+    def _start(self, context: Sequence[str]) -> int | None:
+        """The key that ``context``'s rows have with a zero token digit, or
+        None when one of its tokens is not in the vocabulary."""
+        digits = self._digits
+        base = len(self.tokens) + 1
+        start = 0
+        for token in context:
+            digit = digits.get(token)
+            if digit is None:
+                return None
+            start = start * base + digit
+        return start * self._scales[len(context)]
 
     def score_next(self, prefix: Sequence[str], candidates: set[str]) -> dict[str, float]:
         """Add-one smoothed log P(token | last order-1 prefix tokens). An
@@ -59,18 +195,27 @@ class NGramModel:
         scores ``default``, the add-one value for a zero count."""
         if not candidates:
             raise ValueError("candidates must be non-empty")
-        if self.order == 1:
-            context: tuple[str, ...] = ()
+        start = self._start(prefix[-(self.order - 1):] if self.order > 1 else ())
+        keys = self.row_keys
+        if start is not None:
+            lo = bisect_right(keys, start)
+            hi = bisect_left(keys, start + len(self.tokens) + 1, lo)
+        if start is None or lo == hi:
+            return -math.log(self.vocab_size), {}
+        counts = self.row_counts
+        denom = sum(counts[lo:hi]) + self.vocab_size
+        if hi - lo <= len(candidates):
+            names = self.tokens
+            start += 1
+            seen = [(token, count) for key, count in zip(keys[lo:hi], counts[lo:hi]) if (token := names[key - start]) in candidates]
         else:
-            context = tuple(prefix[-(self.order - 1):])
-        counter = self.counts.get(context)
-        denom = self.totals.get(context, 0) + self.vocab_size
-        if counter is None:
-            return -math.log(denom), {}
-        if len(counter) <= len(candidates):
-            seen = [(token, count) for token, count in counter.items() if token in candidates]
-        else:
-            seen = [(token, counter[token]) for token in candidates if token in counter]
+            seen = []
+            for token in candidates:
+                digit = self._digits.get(token)
+                if digit is not None:
+                    i = bisect_left(keys, start + digit, lo, hi)
+                    if i < hi and keys[i] == start + digit:
+                        seen.append((token, counts[i]))
         # The default is the zero-count case of the formula below; written as
         # -math.log(denom) it can differ in the last bit.
         return math.log(1 / denom), {token: math.log((count + 1) / denom) for token, count in seen}
@@ -95,9 +240,8 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
                 counter[token] = counter.get(token, 0) + 1
     if not unigrams:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    counts[()] = dict(unigrams)
-    totals = {context: sum(counter.values()) for context, counter in counts.items()}
-    return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(unigrams))
+    counts[()] = unigrams
+    return NGramModel.from_counts(order, counts)
 
 
 @dataclass(frozen=True)
@@ -141,11 +285,159 @@ def save_model(model: NGramModel, fp: TextIO, *, config: dict | None = None) -> 
         fp.write(NGRAM_FORMAT + "\t" + json.dumps(config, sort_keys=True) + "\n")
     fp.write(f"{model.order}\n")
     fp.write(f"{model.vocab_size}\n")
-    for context in sorted(model.counts):
-        counter = model.counts[context]
-        joined = " ".join(context)
-        for token in sorted(counter):
-            fp.write(f"{joined}\t{token}\t{counter[token]}\n")
+    # The columns are already in row order; a slice of rows is formatted per
+    # write. ``key // base`` is the context part of a key, and its text is
+    # built once per context in the slice.
+    base = model.vocab_size + 1
+    tails = ("",) + tuple(f"\t{token}\t" for token in model.tokens)
+    for i in range(0, len(model.row_keys), _SAVE_ROWS):
+        keys = model.row_keys[i : i + _SAVE_ROWS]
+        starts = list(map(base.__rfloordiv__, keys))
+        texts = _context_texts(model, dict.fromkeys(starts))
+        rows = zip(map(texts.__getitem__, starts), map(tails.__getitem__, map(base.__rmod__, keys)), model.row_counts[i : i + _SAVE_ROWS])
+        fp.write("".join([f"{context}{tail}{count}\n" for context, tail, count in rows]))
+
+
+def _context_texts(model: NGramModel, starts: Iterable[int]) -> dict[int, str]:
+    """``{key // base: context field}`` for the context parts ``starts``: the
+    context's tokens joined by spaces. The zero digits that pad a short
+    context become nothing, and every other digit its token, after a space
+    unless it is the first."""
+    base = model.vocab_size + 1
+    first = ("",) + model.tokens
+    later = ("",) + tuple(" " + token for token in model.tokens)
+    starts = list(starts)
+    parts: list[Iterable[str]] = [repeat("", len(starts))]
+    for place in range(model.order - 2, -1, -1):
+        digits = map((base**place).__rfloordiv__, starts)
+        if len(parts) == 1:
+            parts.append(map(first.__getitem__, digits))
+        else:
+            parts.append(map(later.__getitem__, map(base.__rmod__, digits)))
+    return dict(zip(starts, map("".join, zip(*parts))))
+
+
+def _parse_rows(fp: TextIO, src: Path, order: int) -> Iterator[tuple[int, str, str, int]]:
+    """``(line_no, context field, token, count)`` for each row after the
+    header, with the context field's token count and the count checked."""
+    previous_field = None
+    # Universal newlines end every line but the last in a single "\n"; it
+    # stays on the count field, which int() strips.
+    for line_no, line in enumerate(fp, start=4):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            if line == "\n":
+                continue
+            raise MalformedModelError(src, line_no, "expected 3 tab-separated fields")
+        context_field, token, count_field = fields
+        if context_field != previous_field:
+            if context_field and context_field.count(" ") + 1 >= order:
+                raise MalformedModelError(src, line_no, "context longer than order allows")
+            previous_field = context_field
+        try:
+            count = int(count_field)
+        except ValueError as exc:
+            raise MalformedModelError(src, line_no, "bad count") from exc
+        if count < 1:
+            raise MalformedModelError(src, line_no, "counts must be positive")
+        yield line_no, context_field, token, count
+
+
+def _duplicate(src: Path, line_no: int, context_field: str, token: str) -> MalformedModelError:
+    return MalformedModelError(src, line_no, f"duplicate row for context {context_field!r}, token {token!r}")
+
+
+def _vocab_mismatch(src: Path, vocab_size: int, rows: int) -> MalformedModelError:
+    return MalformedModelError(src, 3, f"vocabulary size {vocab_size} does not match rows ({rows})")
+
+
+def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int, vocab_size: int) -> NGramModel:
+    """The model of ``rows`` as ``save_model`` orders them, streamed into the
+    columns: the ``()`` rows, which make the vocabulary, then keys in
+    ascending order. From the first row out of that order on, the rest goes
+    to :func:`_load_unordered`. Only the vocabulary's tokens are kept, so
+    only they are interned."""
+    tokens: list[str] = []
+    counts: list[int] = []
+    row = None
+    for row in rows:
+        _, context_field, token, count = row
+        if context_field:
+            break
+        if tokens and token <= tokens[-1]:
+            if token == tokens[-1]:
+                raise _duplicate(src, row[0], context_field, token)
+            return _load_unordered(zip(repeat(()), tokens, counts), chain([row], rows), src, order, vocab_size)
+        tokens.append(intern(token))
+        counts.append(count)
+    else:
+        row = None
+    keys = _column((len(tokens) + 1) ** order)
+    keys.extend(range(1, len(tokens) + 1))
+    values = _column(max(counts, default=0) + 1)
+    values.extend(counts)
+    del counts
+    if row is not None:
+        # Holds the vocabulary; its columns grow below.
+        shape = NGramModel(order, tuple(tokens), keys, values)
+        start_of, digit_of = shape._start, shape._digits.get
+        previous, last_field, start = len(tokens), None, None
+        append_key, append_count = keys.append, values.append
+        for row in chain([row], rows):
+            _, context_field, token, count = row
+            if context_field != last_field:
+                last_field = context_field
+                start = start_of(context_field.split(" ") if context_field else ())
+            digit = digit_of(token)
+            key = None if start is None or digit is None else start + digit
+            if key is None or key <= previous:
+                if key == previous:
+                    raise _duplicate(src, row[0], context_field, token)
+                accepted = NGramModel(order, shape.tokens, keys, values)._rows()
+                return _load_unordered(accepted, chain([row], rows), src, order, vocab_size)
+            previous = key
+            append_key(key)
+            try:
+                append_count(count)
+            except OverflowError:
+                values = _holding(values, count)
+                append_count = values.append
+                append_count(count)
+    if len(tokens) != vocab_size:
+        raise _vocab_mismatch(src, vocab_size, len(tokens))
+    return NGramModel(order, tuple(tokens), keys, values)
+
+
+def _load_unordered(
+    accepted: Iterable[tuple[tuple[str, ...], str, int]],
+    rows: Iterable[tuple[int, str, str, int]],
+    src: Path,
+    order: int,
+    vocab_size: int,
+) -> NGramModel:
+    """The model of rows in any order: ``accepted`` rows already known to be
+    in order and in the vocabulary, then the parsed ``rows``, gathered into
+    tables and sorted once by :meth:`NGramModel.from_counts`."""
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    for context, token, count in accepted:
+        counts.setdefault(context, {})[token] = count
+    lines = []
+    for line_no, context_field, token, count in rows:
+        context = tuple(map(intern, context_field.split(" "))) if context_field else ()
+        token = intern(token)
+        table = counts.setdefault(context, {})
+        if token in table:
+            raise _duplicate(src, line_no, context_field, token)
+        table[token] = count
+        lines.append((line_no, context, token))
+    vocab = counts.get((), {})
+    if len(vocab) != vocab_size:
+        raise _vocab_mismatch(src, vocab_size, len(vocab))
+    for line_no, context, token in lines:
+        for name in (*context, token):
+            if name not in vocab:
+                raise MalformedModelError(src, line_no, f"token {name!r} has no vocabulary row")
+    return NGramModel.from_counts(order, counts)
 
 
 def load_model(path: str | Path) -> NGramModel:
@@ -164,43 +456,6 @@ def load_model(path: str | Path) -> NGramModel:
             order, vocab_size = sizes
             if order < 1 or vocab_size < 1:
                 raise MalformedModelError(src, 2 if order < 1 else 3, "order and vocabulary size must be positive")
-            counts: dict[tuple[str, ...], dict[str, int]] = {}
-            # save_model writes rows sorted by context, so the context field
-            # is split and looked up once per run of equal fields. Rows of a
-            # context that recurs after another still land in the same
-            # table, so duplicates are caught in any row order.
-            previous_field = None
-            # Universal newlines end every line but the last in a single
-            # "\n"; it stays on the count field, which int() strips.
-            for line_no, line in enumerate(fp, start=4):
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    if line == "\n":
-                        continue
-                    raise MalformedModelError(src, line_no, "expected 3 tab-separated fields")
-                context_field, token, count_field = fields
-                token = intern(token)
-                if context_field != previous_field:
-                    context = tuple(map(intern, context_field.split(" "))) if context_field else ()
-                    if len(context) >= order:
-                        raise MalformedModelError(src, line_no, "context longer than order allows")
-                    counter = counts.get(context)
-                    if counter is None:
-                        counter = counts[context] = {}
-                    previous_field = context_field
-                try:
-                    count = int(count_field)
-                except ValueError as exc:
-                    raise MalformedModelError(src, line_no, "bad count") from exc
-                if count < 1:
-                    raise MalformedModelError(src, line_no, "counts must be positive")
-                if token in counter:
-                    raise MalformedModelError(src, line_no, f"duplicate row for context {context_field!r}, token {token!r}")
-                counter[token] = count
+            return _load_rows(_parse_rows(fp, src, order), src, order, vocab_size)
     except UnicodeDecodeError:
         raise MalformedModelError(src, *locate_invalid_utf8(src)) from None
-    vocab = frozenset(counts.get((), ()))
-    if len(vocab) != vocab_size:
-        raise MalformedModelError(src, 3, f"vocabulary size {vocab_size} does not match rows ({len(vocab)})")
-    totals = {context: sum(counter.values()) for context, counter in counts.items()}
-    return NGramModel(order=order, counts=counts, totals=totals, vocab=vocab)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TOY_DATASET, TOY_KG_DIR
 
+import kgel.ingest
 from kgel.errors import (
     DanglingEntityError,
     DanglingRelationError,
@@ -110,16 +111,17 @@ class TestParseKgDir:
             parse_kg_dir(tmp_path)
 
     def test_invalid_concept_reports_its_line(self, tmp_path, monkeypatch):
-        # No TSV line reaches a rejection in Entity.make (the reader already
-        # splits on every character it refuses), so inject one.
-        make = Entity.make
+        # No TSV line reaches the one entity check parse_kg_dir runs, the
+        # definition check (the reader already splits on every character it
+        # refuses), so inject a rejection there.
+        check = kgel.ingest._check_definition
 
-        def failing(cls, id, *args, **kwargs):
+        def failing(id, definition):
             if id == "C2":
                 raise ValueError("rejected")
-            return make(id, *args, **kwargs)
+            check(id, definition)
 
-        monkeypatch.setattr(Entity, "make", classmethod(failing))
+        monkeypatch.setattr(kgel.ingest, "_check_definition", failing)
         write_kg_files(tmp_path, concepts="C1\ta\nC2\tb\nC3\tc\n")
         with pytest.raises(MalformedLineError) as exc:
             parse_kg_dir(tmp_path)

@@ -8,6 +8,7 @@ from kgel.errors import (
     DuplicateRelationError,
     LineError,
 )
+from kgel.ingest import parse_kg_dir
 from kgel.kg import Entity, Relation, Triple, build_kg, kg_stats
 from kgel.text import normalize
 
@@ -142,8 +143,8 @@ class TestBuildKg:
 
 
 class TestParsedParts:
-    """``parse_kg_dir`` builds relations and triples without re-running the
-    checks its line splitting already guarantees."""
+    """``parse_kg_dir`` builds entities, relations and triples without
+    re-running the checks its line splitting already guarantees."""
 
     def test_equal_to_checked_construction(self, toy_kg):
         assert toy_kg.triples
@@ -165,6 +166,44 @@ class TestParsedParts:
         ids=["empty_head", "tab_relation", "newline_tail", "empty_relation_id", "return_in_label"],
     )
     def test_direct_construction_is_still_checked(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_entities_equal_checked_construction(self, tmp_path):
+        """Entities are built without ``Entity.make``'s field checks, yet
+        equal what it and direct construction build, dedup and definitions
+        included."""
+        files = {
+            "concepts.tsv": "C1\tHeart Attack\nC2\tfever\n",
+            "synonyms.tsv": "C1\theart  attack\nC1\tMI\nC1\tHEART ATTACK\nC2\tpyrexia\n",
+            "definitions.tsv": "C1\tdeath of heart muscle\ttissue\n",
+            "relations.tsv": "r\trel\n",
+            "triples.tsv": "C1\tr\tC2\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        kg = parse_kg_dir(tmp_path)
+        expected = {
+            "C1": Entity.make("C1", "Heart Attack", ["heart  attack", "MI", "HEART ATTACK"], "death of heart muscle\ttissue"),
+            "C2": Entity.make("C2", "fever", ["pyrexia"]),
+        }
+        assert kg.entities == expected
+        assert kg.entities["C1"].synonyms == ("Heart Attack", "MI")
+        for entity in kg.entities.values():
+            assert entity == Entity(entity.id, entity.preferred_name, entity.synonyms, entity.definition)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Entity.make("", "x"),
+            lambda: Entity.make("C1", "x", ["y\tz"]),
+            lambda: Entity.make("C1", "x", definition="a\nb"),
+            lambda: Entity("", "x", ("x",)),
+            lambda: Entity("C1", "x", ("x", "X")),
+        ],
+        ids=["make_empty_id", "make_tab_synonym", "make_newline_definition", "direct_empty_id", "direct_duplicate_synonym"],
+    )
+    def test_entity_construction_is_still_checked(self, make):
         with pytest.raises(ValueError):
             make()
 

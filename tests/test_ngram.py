@@ -2,6 +2,7 @@ import io
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,7 +28,8 @@ from conftest import make_documents
 
 def reference_train(targets, order):
     """The per-token, per-context-length counting loop that ``train`` used
-    before it counted whole windows at a time; its result is the reference."""
+    before it counted whole windows at a time; its ``(counts, totals, vocab)``
+    tables are the reference."""
     counts, totals, vocab, n_tokens = {}, {}, set(), 0
     for line in targets:
         tokens = tokenize(line)
@@ -46,7 +48,28 @@ def reference_train(targets, order):
                 totals[context] += 1
     if n_tokens == 0:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    return NGramModel(order=order, counts=counts, totals=totals, vocab=frozenset(vocab))
+    return counts, totals, frozenset(vocab)
+
+
+def reference_dump(order, counts):
+    """The dict-of-dicts writer ``save_model`` used before the columns: the
+    expected bytes of a model with these tables."""
+    lines = ["kgel-ngram-v1\n", f"{order}\n", f"{len(counts[()])}\n"]
+    for context in sorted(counts):
+        for token in sorted(counts[context]):
+            lines.append(f"{' '.join(context)}\t{token}\t{counts[context][token]}\n")
+    return "".join(lines)
+
+
+def reference_score_sparse(order, counts, prefix, candidates):
+    """The dict-based add-one scorer ``score_sparse`` must agree with to the
+    last bit."""
+    context = () if order == 1 else tuple(prefix[-(order - 1):])
+    table = counts.get(context)
+    denom = (sum(table.values()) if table is not None else 0) + len(counts[()])
+    if table is None:
+        return -math.log(denom), {}
+    return math.log(1 / denom), {t: math.log((c + 1) / denom) for t, c in table.items() if t in candidates}
 
 
 def dump(model):
@@ -70,16 +93,17 @@ class TestTrain:
     @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
     def test_equals_reference_loop(self, lines, order):
         try:
-            expected = reference_train(lines, order)
+            counts, totals, vocab = reference_train(lines, order)
         except EmptyCorpusError:
             with pytest.raises(EmptyCorpusError):
                 train(iter(lines), order)
             return
         model = train(iter(lines), order)
-        assert model.counts == expected.counts
-        assert model.totals == expected.totals
-        assert model.vocab == expected.vocab
-        assert dump(model) == dump(expected)
+        assert model.counts == counts
+        assert model.totals == totals
+        assert model.vocab == vocab
+        assert dump(model) == dump(NGramModel.from_counts(order, counts))
+        assert dump(model) == reference_dump(order, counts)
 
     def test_single_observation(self):
         model = train(["[BOS] a b [EOS]"], order=2)
@@ -181,6 +205,28 @@ class TestScoreNext:
         assert observed == {"b": math.log(2 / 7)}
         assert default == math.log(1 / 7)
         assert model.score_sparse(["zzz"], {"b"}) == (-math.log(5), {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(LINES, min_size=1, max_size=12),
+        order=st.integers(1, 5),
+        prefix=st.lists(st.sampled_from(["a", "b", "bb", "ab", "[bos]", "[eos]", "zzz"]), max_size=6),
+        candidates=st.sets(st.sampled_from(["a", "b", "bb", "ab", "[bos]", "[eos]", "zzz", "yyy"]), min_size=1),
+    )
+    def test_sparse_equals_dict_reference(self, lines, order, prefix, candidates):
+        """Bisecting the columns gives the dict scorer's floats exactly, for
+        short prefixes, unknown tokens, and candidate sets smaller and larger
+        than the context's rows."""
+        assume(any(tokenize(line) for line in lines))
+        counts, _, _ = reference_train(lines, order)
+        model = train(lines, order)
+        assert model.score_sparse(prefix, candidates) == reference_score_sparse(order, counts, prefix, candidates)
+
+    def test_sparse_takes_both_candidate_paths(self):
+        model = train(["[BOS] a b [EOS]", "[BOS] a c [EOS]", "[BOS] a d [EOS]"], order=2)
+        counts, _, _ = reference_train(["[BOS] a b [EOS]", "[BOS] a c [EOS]", "[BOS] a d [EOS]"], 2)
+        for candidates in ({"b"}, {"b", "c", "d", "[eos]", "zzz"}):
+            assert model.score_sparse(["a"], candidates) == reference_score_sparse(2, counts, ["a"], candidates)
 
 
 class TestConditioning:
@@ -402,6 +448,56 @@ class TestModelIO:
                 load_model(path)
             assert (info.value.line_no, info.value.reason) == expected
 
+    @pytest.mark.parametrize(
+        "rows, line_no, token",
+        [
+            (b"\ta\t1\n\tb\t2\na\tc\t1\n", 6, "c"),
+            (b"\ta\t1\n\tb\t2\nc\ta\t1\n", 6, "c"),
+            (b"\ta\t1\na\tb\t1\nb\tc\t1\n\tb\t2\n", 6, "c"),
+            (b"\tb\t2\n\ta\t1\nb\ta\t1\nc\ta\t1\n", 7, "c"),
+        ],
+        ids=["token", "context_token", "out_of_order", "after_unordered_vocabulary"],
+    )
+    def test_rejects_token_without_vocabulary_row(self, tmp_path, rows, line_no, token):
+        path = tmp_path / "model.tsv"
+        path.write_bytes(b"kgel-ngram-v1\n2\n2\n" + rows)
+        with pytest.raises(MalformedModelError) as info:
+            load_model(path)
+        assert (info.value.line_no, info.value.reason) == (line_no, f"token {token!r} has no vocabulary row")
+
+    def test_keys_beyond_64_bits_round_trip(self, tmp_path):
+        """At order 8 over about 300 tokens the keys need more than 64 bits
+        and live in a list; the rows and the scores are the same."""
+        rng = random.Random(8)
+        words = [f"w{i}" for i in range(300)]
+        lines = ["[BOS] " + " ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) + " [EOS]" for _ in range(400)]
+        counts, _, _ = reference_train(lines, 8)
+        model = train(lines, 8)
+        assert (model.vocab_size + 1) ** 8 > 2**64 and type(model.row_keys) is list
+        path = tmp_path / "model.tsv"
+        path.write_text(dump(model), encoding="utf-8")
+        reloaded = load_model(path)
+        assert reloaded == model and type(reloaded.row_keys) is list
+        assert dump(reloaded) == path.read_text(encoding="utf-8") == reference_dump(8, counts)
+        for line in lines[:50]:
+            tokens = tokenize(line)
+            for end in range(len(tokens)):
+                candidates = set(rng.sample(words, 40)) | {tokens[end]}
+                expected = reference_score_sparse(8, counts, tokens[:end], candidates)
+                assert model.score_sparse(tokens[:end], candidates) == expected
+                assert reloaded.score_sparse(tokens[:end], candidates) == expected
+
+    @pytest.mark.parametrize("count, column", [(2**32 - 1, "I"), (2**32, "Q"), (2**64, None)])
+    def test_count_column_widens(self, tmp_path, count, column):
+        path = tmp_path / "model.tsv"
+        text = f"kgel-ngram-v1\n2\n2\n\ta\t1\n\tb\t{count}\na\tb\t{count}\n"
+        path.write_text(text, encoding="utf-8")
+        model = load_model(path)
+        assert getattr(model.row_counts, "typecode", None) == column
+        assert model.counts == {(): {"a": 1, "b": count}, ("a",): {"b": count}}
+        assert model == NGramModel.from_counts(2, model.counts)
+        assert dump(model) == text
+
     def test_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("kgel-ngram-v1\n2\n2\n\ta\t1\n\tb\t2\na\tb\t1\n\tb\t2\n", encoding="utf-8")
@@ -426,3 +522,25 @@ class TestModelIO:
             load_model(path)
         except KgelError:
             pass
+
+
+class TestLayout:
+    def test_loaded_rows_stay_compact(self, tmp_path):
+        """The loaded tables cost a few bytes per row: sorted integer columns,
+        not a dict per context (about 110 bytes per row)."""
+        rng = random.Random(48)
+        words = [f"w{i}" for i in range(400)]
+        lines = ["[BOS] " + " ".join(rng.choice(words) for _ in range(10)) + " [EOS]" for _ in range(2500)]
+        path = tmp_path / "model.tsv"
+        with open(path, "w", encoding="utf-8") as fp:
+            save_model(train(lines, order=3), fp)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = load_model(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = len(path.read_text(encoding="utf-8").splitlines()) - 3
+        assert 40_000 <= rows <= 60_000 and model.vocab_size == 402
+        assert held / rows < 48
