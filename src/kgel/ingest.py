@@ -172,12 +172,16 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     concepts_path = base / "concepts.tsv"
     names: dict[str, str] = {}
     concept_lines: dict[str, int] = {}
+    # Each concept id maps to itself, so that triples hold the entity's own
+    # id string instead of a copy per line.
+    ids: dict[str, str] = {}
     for line_no, line in _lines(concepts_path):
         cui, name = _split(concepts_path, line_no, line, 2)
         if cui in names:
             raise DuplicateEntityError(concepts_path, line_no, f"duplicate concept id {cui!r}")
         names[cui] = name
         concept_lines[cui] = line_no
+        ids[cui] = cui
 
     synonyms_path = base / "synonyms.tsv"
     synonyms: dict[str, list[str]] = {}
@@ -212,13 +216,14 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     triples: list[Triple] = []
     for line_no, line in _lines(triples_path):
         head, rid, tail = _split(triples_path, line_no, line, 3)
-        if head not in names:
+        head_id, relation, tail_id = ids.get(head), relations.get(rid), ids.get(tail)
+        if head_id is None:
             raise DanglingEntityError(triples_path, line_no, f"unknown head concept {head!r}")
-        if tail not in names:
+        if tail_id is None:
             raise DanglingEntityError(triples_path, line_no, f"unknown tail concept {tail!r}")
-        if rid not in relations:
+        if relation is None:
             raise DanglingRelationError(triples_path, line_no, f"unknown relation {rid!r}")
-        triples.append(_unchecked(Triple, head, rid, tail))
+        triples.append(_unchecked(Triple, head_id, relation.id, tail_id))
 
     # The ids, names and synonyms are _split fields as well, so entities are
     # built as Entity.make builds them, without its field checks.

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import islice
-from operator import itemgetter
+from array import array
+from bisect import bisect_left
+from collections.abc import Set
+from itertools import islice, repeat, zip_longest
+from operator import eq, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
@@ -48,32 +51,77 @@ def _dense(scorer: Scorer) -> Callable[[Sequence[str], Collection[str]], tuple[f
     candidate is observed, so the default is never used."""
 
     def score_sparse(prefix: Sequence[str], candidates: Collection[str]) -> tuple[float, Mapping[str, float]]:
-        scores = scorer.score_next(prefix, set(candidates))
-        if scores.keys() != candidates:
+        # The scorer gets its own copy, so the check below holds even if it
+        # changes the set it was given.
+        wanted = set(candidates)
+        scores = scorer.score_next(prefix, set(wanted))
+        if scores.keys() != wanted:
             raise ValueError("scorer did not cover exactly the candidate set")
         return 0.0, scores
 
     return score_sparse
 
 
-class _Node:
-    """``children`` iterates in sorted token order once the trie is built."""
+class _Children(Set):
+    """The tokens of one node's children: a read-only set view over a slice
+    of the trie's sorted ``labels``, so membership is a bisection."""
 
-    __slots__ = ("children", "entity_ids")
+    __slots__ = ("_labels", "_lo", "_hi")
 
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
-        self.entity_ids: tuple[str, ...] = ()
+    def __init__(self, labels: list[str], lo: int, hi: int):
+        self._labels, self._lo, self._hi = labels, lo, hi
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[str]) -> set[str]:
+        return set(iterable)
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._labels[self._lo:self._hi])
+
+    def __contains__(self, token: object) -> bool:
+        return _child(self._labels, self._lo, self._hi, token) >= 0
+
+
+def _child(labels: list[str], lo: int, hi: int, token: object) -> int:
+    """The node in ``lo:hi`` labelled ``token``, or -1."""
+    try:
+        i = bisect_left(labels, token, lo, hi)
+    except TypeError:  # not comparable with a string
+        return -1
+    return i if i < hi and labels[i] == token else -1
+
+
+def _children(labels: list[str], lo: int, hi: int, tokens: Collection[str]) -> list[int]:
+    """The node in ``lo:hi`` labelled by each of ``tokens``, in their order;
+    ValueError when one of them labels none."""
+    try:
+        found = list(map(bisect_left, repeat(labels), tokens, repeat(lo), repeat(hi)))
+    except TypeError:
+        found = [hi]
+    if hi in found or not all(map(eq, map(labels.__getitem__, found), tokens)):
+        raise ValueError("scorer returned a token outside the candidate set")
+    return found
 
 
 class TokenTrie:
     """Prefix tree over token sequences; terminals carry the owning entity ids
-    (non-empty, deduplicated, sorted). Immutable once built."""
+    (non-empty, deduplicated, sorted). Immutable once built.
+
+    Nodes are numbered in level order (root 0, then depth 1 in token order,
+    then each depth-1 node's children in turn, and so on) and stored as
+    columns: ``labels[n]`` is the token on the edge into node ``n``, the
+    children of ``n`` are the nodes ``first[n]:first[n + 1]``, contiguous and
+    in token order, and its owners are ``owner_ids[owner_first[n]:owner_first[n + 1]]``."""
 
     def __init__(self):
-        self._root = _Node()
+        self._labels: list[str] = [""]
+        self._first = array("I", [1, 1])
+        self._owner_first = array("I", [0, 0])
+        self._owner_ids: list[str] = []
         self._surfaces = 0
-        self._nodes = 1
         self._max_depth = 0
 
     @classmethod
@@ -81,70 +129,109 @@ class TokenTrie:
         """Build from a map of surface form -> owning entity ids. Surfaces are
         tokenized with the shared normalization; a surface without owners
         adds nothing."""
-        entries = []
-        for surface in sorted(surface_owners):
-            tokens = tokenize(surface)
-            if not tokens:
-                raise EmptySurfaceError(f"surface {surface!r} normalizes to zero tokens")
-            entries.extend((owner, tokens) for owner in set(surface_owners[surface]))
-        entries.sort(key=itemgetter(0))
-        return cls._build(entries)
+
+        def entries() -> Iterator[tuple[str, list[str]]]:
+            for surface in sorted(surface_owners):
+                tokens = tokenize(surface)
+                if not tokens:
+                    raise EmptySurfaceError(f"surface {surface!r} normalizes to zero tokens")
+                for owner in set(surface_owners[surface]):
+                    yield owner, tokens
+
+        return cls._build(entries())
 
     @classmethod
     def _build(cls, entries: Iterable[tuple[str, Sequence[str]]]) -> "TokenTrie":
-        """Build from ``(owner, tokens)`` pairs in ascending owner order. Each
-        terminal's owners then arrive sorted, and a repeated owner always
-        repeats the last one, so appending keeps them sorted and distinct."""
+        """Build from ``(owner, tokens)`` pairs in any order.
+
+        Each pair's tokens are spread over one column per depth (``""`` past
+        its end), and the pairs are ordered by stable sorts: by owner, then by
+        each depth's column, deepest first. That is token-sequence order, with
+        a surface's owners ascending and a repeated owner next to itself, and
+        every node's entries form one run. Levels are then numbered one at a
+        time from the runs of the level above."""
+        owners: list[str] = []
+        columns: list[list[str]] = []
+        entries = iter(entries)
+        # Pairs are read a bounded chunk at a time, and each chunk's token
+        # lists are transposed into the columns.
+        while chunk := list(islice(entries, 1024)):
+            depths = list(zip_longest(*map(itemgetter(1), chunk), fillvalue=""))
+            while len(columns) < len(depths):
+                columns.append([""] * len(owners))
+            for column, tokens in zip_longest(columns, depths, fillvalue=("",) * len(chunk)):
+                column.extend(tokens)
+            owners.extend(map(itemgetter(0), chunk))
+        order = sorted(range(len(owners)), key=owners.__getitem__)
+        for column in reversed(columns):
+            order.sort(key=column.__getitem__)
+
         trie = cls()
-        nodes, surfaces, max_depth = 1, 0, 0
-        for owner, tokens in entries:
-            node = trie._root
-            for token in tokens:
-                child = node.children.get(token)
-                if child is None:
-                    child = node.children[token] = _Node()
-                    nodes += 1
-                node = child
-            owners = node.entity_ids
-            if not owners:
-                node.entity_ids = (owner,)
-                surfaces += 1
-            elif owners[-1] != owner:
-                node.entity_ids = owners + (owner,)
-            if len(tokens) > max_depth:
-                max_depth = len(tokens)
-        trie._nodes, trie._surfaces, trie._max_depth = nodes, surfaces, max_depth
-        stack = [trie._root]
-        while stack:
-            node = stack.pop()
-            if len(node.children) > 1:
-                node.children = dict(sorted(node.children.items()))
-            stack.extend(node.children.values())
+        trie._max_depth = len(columns)
+        labels, first = [""], array("I", [1])
+        owner_first, owner_ids = array("I", [0]), []
+        # `run` holds the entries that reach the current depth, in order, and
+        # `nodes` the node each one is at. An entry whose column reads "" ends
+        # at its node, as every entry does past the deepest column. Terminals
+        # come up in node order, each with its owners together and ascending.
+        run, nodes = order, array("I", bytes(4 * len(order)))
+        child, terminal = 0, -1
+        while run:
+            level = map(columns.pop(0).__getitem__, run) if columns else repeat("")
+            next_run, next_nodes = [], array("I")
+            parent = token = None
+            for entry, node, label in zip(run, nodes, level):
+                if not label:
+                    owner = owners[entry]
+                    if node != terminal:
+                        terminal = node
+                        trie._surfaces += 1
+                        owner_first.extend(repeat(len(owner_ids), node + 1 - len(owner_first)))
+                    elif owner == owner_ids[-1]:
+                        continue
+                    owner_ids.append(owner)
+                    continue
+                if node != parent:
+                    parent, token = node, None
+                    first.extend(repeat(child + 1, node + 1 - len(first)))
+                if label != token:
+                    token, child = label, child + 1
+                    labels.append(label)
+                next_run.append(entry)
+                next_nodes.append(child)
+            run, nodes = next_run, next_nodes
+
+        first.extend(repeat(len(labels), len(labels) + 1 - len(first)))
+        owner_first.extend(repeat(len(owner_ids), len(labels) + 1 - len(owner_first)))
+        trie._labels, trie._first, trie._owner_first, trie._owner_ids = labels, first, owner_first, owner_ids
         return trie
 
-    def _walk(self, prefix: Sequence[str]) -> _Node:
-        node = self._root
+    def _walk(self, prefix: Sequence[str]) -> int:
+        labels, first, node = self._labels, self._first, 0
         for token in prefix:
-            node = node.children.get(token)
-            if node is None:
+            node = _child(labels, first[node], first[node + 1], token)
+            if node < 0:
                 raise InvalidPrefixError(f"prefix {list(prefix)!r} is not in the trie")
         return node
+
+    def _owners(self, node: int) -> list[str]:
+        return self._owner_ids[self._owner_first[node]:self._owner_first[node + 1]]
 
     def allowed_next(self, prefix: Sequence[str]) -> tuple[set[str], bool]:
         """Tokens that may follow ``prefix``, and whether the prefix itself is
         a complete registered surface form."""
         node = self._walk(prefix)
-        return set(node.children), bool(node.entity_ids)
+        return set(self._labels[self._first[node]:self._first[node + 1]]), bool(self._owners(node))
 
     def entities_at(self, prefix: Sequence[str]) -> tuple[str, ...]:
-        return self._walk(prefix).entity_ids
+        return tuple(self._owners(self._walk(prefix)))
 
     def __len__(self) -> int:
         return self._surfaces
 
     @property
     def node_count(self) -> int:
-        return self._nodes
+        return len(self._labels)
 
     @property
     def max_depth(self) -> int:
@@ -153,13 +240,13 @@ class TokenTrie:
     def iter_dump(self) -> Iterator[str]:
         """Preorder dump, children in sorted token order:
         ``depth<TAB>token<TAB>terminal<TAB>payload-csv`` (root omitted)."""
-        stack = [(1, token, child) for token, child in reversed(self._root.children.items())]
+        first = self._first
+        stack = [(1, child) for child in reversed(range(first[0], first[1]))]
         while stack:
-            depth, token, node = stack.pop()
-            terminal = "1" if node.entity_ids else "0"
-            yield f"{depth}\t{token}\t{terminal}\t{','.join(node.entity_ids)}"
-            for child_token, child in reversed(node.children.items()):
-                stack.append((depth + 1, child_token, child))
+            depth, node = stack.pop()
+            owners = self._owners(node)
+            yield f"{depth}\t{self._labels[node]}\t{'1' if owners else '0'}\t{','.join(owners)}"
+            stack.extend((depth + 1, child) for child in reversed(range(first[node], first[node + 1])))
 
     def dump(self) -> str:
         return "".join(line + "\n" for line in self.iter_dump())
@@ -205,32 +292,32 @@ def constrained_beam_search(
         raise ValueError("max_len must be >= 1")
     score_sparse = getattr(scorer, "score_sparse", None) or _dense(scorer)
 
-    beams: list[tuple[tuple[str, ...], float, _Node]] = [((), 0.0, trie._walk(()))]
+    labels, first, owner_first = trie._labels, trie._first, trie._owner_first
+    beams: list[tuple[tuple[str, ...], float, int]] = [((), 0.0, 0)]
     completed: list[tuple[tuple[str, ...], float]] = []
     for _ in range(max_len):
-        expansions: list[tuple[tuple[str, ...], float, _Node]] = []
+        expansions: list[tuple[tuple[str, ...], float, int]] = []
         for prefix, score, node in beams:
-            children = node.children
-            if not children:
+            lo, hi = first[node], first[node + 1]
+            if lo == hi:
                 continue
-            default, observed = score_sparse(prefix, children.keys())
-            if not observed.keys() <= children.keys():
-                raise ValueError("scorer returned a token outside the candidate set")
+            default, observed = score_sparse(prefix, _Children(labels, lo, hi))
+            children = _children(labels, lo, hi, observed)
             if not (math.isfinite(default) and all(map(math.isfinite, observed.values()))):
                 raise NonFiniteScoreError(f"scorer returned a non-finite score after prefix {list(prefix)!r}")
-            for token, logp in observed.items():
-                expansions.append((prefix + (token,), score + logp, children[token]))
+            for (token, logp), child in zip(observed.items(), children):
+                expansions.append((prefix + (token,), score + logp, child))
             # Unobserved children tie on score, so only the first beam_width
             # of them in token order can reach the beam.
-            if len(observed) < len(children):
-                unobserved = (item for item in children.items() if item[0] not in observed)
-                for token, child in islice(unobserved, beam_width):
-                    expansions.append((prefix + (token,), score + default, child))
+            if len(observed) < hi - lo:
+                unobserved = (child for child in range(lo, hi) if labels[child] not in observed)
+                for child in islice(unobserved, beam_width):
+                    expansions.append((prefix + (labels[child],), score + default, child))
         if not expansions:
             break
         beams = heapq.nsmallest(beam_width, expansions, key=lambda item: (-item[1], item[0]))
         for prefix, score, node in beams:
-            if node.entity_ids:
+            if owner_first[node] != owner_first[node + 1]:
                 completed.append((prefix, score))
 
     if not completed:

@@ -154,6 +154,15 @@ class TestParsedParts:
         for relation in toy_kg.relations.values():
             assert relation == Relation(relation.id, relation.label)
 
+    def test_triples_share_the_parsed_id_strings(self, toy_kg):
+        """A triple holds its entities' and relation's own id objects, not a
+        copy of the id per line."""
+        assert toy_kg.triples
+        for triple in toy_kg.triples:
+            assert triple.head is toy_kg.entities[triple.head].id
+            assert triple.tail is toy_kg.entities[triple.tail].id
+            assert triple.relation is toy_kg.relations[triple.relation].id
+
     @pytest.mark.parametrize(
         "make",
         [

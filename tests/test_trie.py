@@ -1,13 +1,17 @@
+import heapq
 import math
 import random
 import sys
+import tracemalloc
+from collections.abc import Set
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import HashScorer, enumerate_hypotheses, random_surface_set
 
-from kgel.errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, NoHypothesisError
+from kgel.errors import EmptySurfaceError, InvalidPrefixError, KgelError, NonFiniteScoreError, NoHypothesisError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import condition_on_mention, load_model, save_model, train
 from kgel.text import normalize, tokenize
@@ -367,3 +371,237 @@ class TestSparseEquivalence:
         sparse = constrained_beam_search(trie, scorer, width)
         dense = constrained_beam_search(trie, DenseOnly(scorer), width)
         assert sparse == dense
+
+
+class _ReferenceNode:
+    __slots__ = ("children", "entity_ids")
+
+    def __init__(self):
+        self.children = {}
+        self.entity_ids = ()
+
+
+class _ReferenceTrie:
+    """The dict-of-children trie that ``TokenTrie`` replaced: one node object
+    per prefix, children sorted by token once built."""
+
+    def __init__(self, surface_owners):
+        entries = []
+        for surface in sorted(surface_owners):
+            entries.extend((owner, tokenize(surface)) for owner in set(surface_owners[surface]))
+        entries.sort(key=lambda entry: entry[0])
+        self.root = _ReferenceNode()
+        self.surfaces, self.node_count, self.max_depth = 0, 1, 0
+        for owner, tokens in entries:
+            node = self.root
+            for token in tokens:
+                if token not in node.children:
+                    node.children[token] = _ReferenceNode()
+                    self.node_count += 1
+                node = node.children[token]
+            if not node.entity_ids:
+                self.surfaces += 1
+            if owner not in node.entity_ids:
+                node.entity_ids += (owner,)
+            self.max_depth = max(self.max_depth, len(tokens))
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.children = dict(sorted(node.children.items()))
+            stack.extend(node.children.values())
+
+    def walk(self, prefix):
+        node = self.root
+        for token in prefix:
+            if token not in node.children:
+                raise InvalidPrefixError(f"prefix {list(prefix)!r} is not in the trie")
+            node = node.children[token]
+        return node
+
+    def allowed_next(self, prefix):
+        node = self.walk(prefix)
+        return set(node.children), bool(node.entity_ids)
+
+    def entities_at(self, prefix):
+        return self.walk(prefix).entity_ids
+
+    def __len__(self):
+        return self.surfaces
+
+    def dump(self):
+        lines = []
+
+        def visit(node, depth):
+            for token, child in node.children.items():
+                lines.append(f"{depth}\t{token}\t{int(bool(child.entity_ids))}\t{','.join(child.entity_ids)}\n")
+                visit(child, depth + 1)
+
+        visit(self.root, 1)
+        return "".join(lines)
+
+
+def reference_trie(surface_owners):
+    return _ReferenceTrie(surface_owners)
+
+
+def reference_beam_search(trie, scorer, beam_width):
+    """Constrained beam search over a ``reference_trie``, as it was written
+    for node objects; a dense scorer scores every child."""
+    sparse = getattr(scorer, "score_sparse", None)
+    beams, completed = [((), 0.0, trie.root)], []
+    for _ in range(trie.max_depth):
+        expansions = []
+        for prefix, score, node in beams:
+            if not node.children:
+                continue
+            if sparse is None:
+                default, observed = 0.0, scorer.score_next(prefix, set(node.children))
+            else:
+                default, observed = sparse(prefix, node.children.keys())
+            for token, logp in observed.items():
+                expansions.append((prefix + (token,), score + logp, node.children[token]))
+            unobserved = (token for token in node.children if token not in observed)
+            for token in islice(unobserved, beam_width):
+                expansions.append((prefix + (token,), score + default, node.children[token]))
+        if not expansions:
+            break
+        beams = heapq.nsmallest(beam_width, expansions, key=lambda item: (-item[1], item[0]))
+        completed.extend((prefix, score) for prefix, score, node in beams if node.entity_ids)
+    if not completed:
+        raise NoHypothesisError("no surface form completed within max_len")
+    return sorted(completed, key=lambda item: (-item[1], item[0]))
+
+
+def outcome(call, *args):
+    """A call's result, or the class of the ``KgelError`` it raised."""
+    try:
+        return call(*args)
+    except KgelError as exc:
+        return type(exc)
+
+
+# Tokens include characters below " ", which a sort key that joins tokens
+# with a separator would order wrongly, and case variants that fold alike.
+EQUIVALENCE_TOKENS = ["a", "A", "b", "ab", "a\x01", "\x01", "\x1b", "a\x1bb", "\x01b"]
+OWNERS = [f"C{i}" for i in range(6)]
+
+
+@st.composite
+def surface_owner_maps(draw):
+    surfaces = draw(st.lists(st.lists(st.sampled_from(EQUIVALENCE_TOKENS), min_size=1, max_size=4), max_size=25))
+    # Prefixes of drawn surfaces are surfaces too, half of the time.
+    surfaces += [tokens[:-1] for tokens in surfaces if len(tokens) > 1 and draw(st.booleans())]
+    # Owners repeat and arrive in any order; a surface may have none.
+    return {" ".join(tokens): draw(st.lists(st.sampled_from(OWNERS), max_size=4)) for tokens in surfaces}
+
+
+class TestEquivalence:
+    """The column trie answers every query as the dict trie it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(surface_owners=surface_owner_maps(), seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6))
+    @example(surface_owners={}, seed=0, width=3)
+    @example(surface_owners={"a": ["C1"], "a b": ["C0", "C2", "C0"], "A  B": ["C1"]}, seed=1, width=2)
+    @example(surface_owners={"a\x01 b": ["C0"], "a b": ["C1"], "a\x1bb": ["C2"], "a": []}, seed=2, width=4)
+    def test_equals_reference_trie(self, surface_owners, seed, width):
+        trie = TokenTrie.from_surfaces(surface_owners)
+        reference = reference_trie(surface_owners)
+        for built in [trie] + ([TokenTrie()] if not surface_owners else []):
+            assert built.dump() == reference.dump()
+            assert (len(built), built.node_count, built.max_depth) == (len(reference), reference.node_count, reference.max_depth)
+        prefixes = {()} | {tuple(tokenize(s))[:depth] for s in surface_owners for depth in range(1, 5)}
+        prefixes |= {prefix + ("zz",) for prefix in list(prefixes)}
+        for prefix in prefixes:
+            assert outcome(trie.allowed_next, prefix) == outcome(reference.allowed_next, prefix)
+            assert outcome(trie.entities_at, prefix) == outcome(reference.entities_at, prefix)
+        rng = random.Random(seed)
+        lines = [
+            "[BOS] " + " ".join(rng.choice(EQUIVALENCE_TOKENS) for _ in range(rng.randint(1, 5))) + " [EOS]"
+            for _ in range(rng.randint(1, 20))
+        ]
+        for scorer in (HashScorer(str(seed)), train(lines, order=rng.randint(1, 3))):
+            got = outcome(constrained_beam_search, trie, scorer, width)
+            assert got == outcome(reference_beam_search, reference, scorer, width)
+
+
+class TestScorerContract:
+    def test_sparse_candidates_are_a_set_view(self):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b c": ["C1"], "d": ["C2"]})
+        seen = []
+
+        class Inspecting:
+            def score_sparse(self, prefix, candidates):
+                seen.append((prefix, candidates))
+                assert isinstance(candidates, Set)
+                assert len(candidates) == len(set(candidates))
+                assert all(token in candidates for token in candidates)
+                assert "zz" not in candidates and 1 not in candidates and None not in candidates
+                assert candidates == set(candidates) and candidates <= set(candidates) | {"zz"}
+                assert candidates & {"a", "zz"} == ({"a"} if "a" in candidates else set())
+                assert candidates | {"zz"} == set(candidates) | {"zz"}
+                assert candidates - {"a"} == set(candidates) - {"a"}
+                assert isinstance(candidates & {"a"}, Set) and not candidates.isdisjoint(set(candidates))
+                return -1.0, {}
+
+        constrained_beam_search(trie, Inspecting(), beam_width=3)
+        assert [(prefix, set(candidates)) for prefix, candidates in seen] == [((), {"a", "b", "d"}), (("b",), {"c"})]
+
+    def test_dense_scorer_gets_a_real_set(self):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b c": ["C1"]})
+        types = []
+
+        class Dense:
+            def score_next(self, prefix, candidates):
+                types.append(type(candidates))
+                result = {token: -1.0 for token in candidates}
+                candidates.clear()  # the scorer owns its argument
+                return result
+
+        constrained_beam_search(trie, Dense(), beam_width=2)
+        assert types == [set, set]
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_dense_scorer_must_cover_exactly_the_candidates(self, change):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"]})
+
+        class Inexact:
+            def score_next(self, prefix, candidates):
+                scores = {token: -1.0 for token in candidates}
+                if change == "missing":
+                    del scores["a"]
+                else:
+                    scores["zz"] = -1.0
+                return scores
+
+        with pytest.raises(ValueError, match="did not cover exactly the candidate set"):
+            constrained_beam_search(trie, Inexact(), beam_width=2)
+
+    @pytest.mark.parametrize("stray", ["", 1, None])
+    def test_sparse_scorer_stray_key_rejected(self, stray):
+        trie = TokenTrie.from_surfaces({"a": ["C0"], "b": ["C1"]})
+
+        class Stray:
+            def score_sparse(self, prefix, candidates):
+                return -1.0, {"a": -0.5, stray: -0.1}
+
+        with pytest.raises(ValueError, match="outside the candidate set"):
+            constrained_beam_search(trie, Stray(), beam_width=2)
+
+
+class TestLayout:
+    def test_nodes_stay_compact(self):
+        """A built trie costs a few dozen bytes per node: level-order
+        columns, not a node object and a child dict per node (about 215
+        bytes per node)."""
+        rng = random.Random(17)
+        words = [sys.intern(f"w{i}") for i in range(3000)]
+        surfaces = {" ".join(rng.choice(words) for _ in range(rng.randint(1, 4))): (f"C{i}",) for i in range(25_000)}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trie = TokenTrie.from_surfaces(surfaces)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trie) >= 20_000 and trie.node_count >= 40_000
+        assert held / trie.node_count < 48
