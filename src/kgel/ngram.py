@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import add, getitem
 from pathlib import Path
 from sys import intern
 from typing import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
@@ -44,11 +43,6 @@ def _column(bound: int, size: int = 0) -> MutableSequence[int]:
         if bound <= 1 << 8 * array(code).itemsize:
             return array(code, [0]) * size
     return [0] * size
-
-
-def _like(column: MutableSequence[int], values: Iterable[int]) -> MutableSequence[int]:
-    """``values`` in a column of ``column``'s type, for slice assignment."""
-    return array(column.typecode, values) if isinstance(column, array) else list(values)
 
 
 def _holding(column: MutableSequence[int], value: int) -> MutableSequence[int]:
@@ -95,43 +89,45 @@ class NGramModel:
     @classmethod
     def from_counts(cls, order: int, counts: Mapping[tuple[str, ...], Mapping[str, int]]) -> NGramModel:
         """The model of ``{context: {token: count}}`` tables; the vocabulary
-        is the token set of the ``()`` table."""
-        tokens = tuple(sorted(counts.get((), ())))
-        base = len(tokens) + 1
-        digits = {token: digit for digit, token in enumerate(tokens, 1)}
+        is the token set of the ``()`` table. Raises ``ValueError`` unless
+        every context is shorter than ``order``, the ``()`` table is
+        non-empty, each of its tokens is one ``tokenize`` could produce,
+        every other token is in it and every count is positive."""
         if max(map(len, counts), default=0) >= order:
             raise ValueError("context longer than order allows")
-        # Both columns are made at their full size and filled a group at a
-        # time: growing them would copy them, and the count tables are still
-        # held, so a copy would add to the peak memory of training.
+        vocab = counts.get(())
+        if not vocab:
+            raise ValueError("the () table must list the vocabulary")
+        for token in vocab:
+            if token.split() != [token]:
+                raise ValueError(f"vocabulary token {token!r} is not a single token")
+        if min(min(table.values()) for table in counts.values() if table) < 1:
+            raise ValueError("counts must be positive")
+        # Both columns are made at their full size and filled by index:
+        # growing them would copy them while the count tables are still
+        # held, which would add to the peak memory of training.
         size = sum(map(len, counts.values()))
-        keys = _column(base**order, size)
-        values = _column(0, size)
-        end = 0
-        # places[i][token] is the token's digit times the place value of context
-        # position i, so the start of a context (see _start) is a sum of places.
-        places = [{token: digit * base ** (order - 1 - i) for token, digit in digits.items()} for i in range(order - 1)]
+        tokens = tuple(sorted(vocab))
+        keys = _column((len(tokens) + 1) ** order, size)
+        values = _column(max(max(table.values()) for table in counts.values() if table) + 1, size)
+        model = cls(order, tokens, keys, values)
+        digits = model._digits
+        i = 0
         try:
-            # Contexts grouped by their first token's digit (0 for ``()``):
-            # each group is sorted on its own, then its rows go into the
-            # columns through C-level maps, a group at a time.
-            groups: list[list[tuple[str, ...]]] = [[] for _ in range(base)]
-            for context in counts:
-                groups[digits[context[0]] if context else 0].append(context)
-            for group in filter(None, groups):
-                group.sort()
-                tables = list(map(counts.__getitem__, group))
-                sizes = list(map(len, tables))
-                row_tokens = list(chain.from_iterable(map(sorted, tables)))
-                starts = map(sum, map(map, repeat(getitem), repeat(places), group))
-                begin, end = end, end + len(row_tokens)
-                keys[begin:end] = _like(keys, map(add, chain.from_iterable(map(repeat, starts, sizes)), map(digits.__getitem__, row_tokens)))
-                row_counts = list(map(getitem, chain.from_iterable(map(repeat, tables, sizes)), row_tokens))
-                values = _holding(values, max(row_counts, default=0))
-                values[begin:end] = _like(values, row_counts)
+            # A context sorts before its extensions both as a tuple and as a
+            # key, so tuple order is key order.
+            for context in sorted(counts):
+                start = model._start(context)
+                if start is None:
+                    raise ValueError(f"context {context!r} has a token outside the vocabulary")
+                table = counts[context]
+                for token in sorted(table):
+                    keys[i] = start + digits[token]
+                    values[i] = table[token]
+                    i += 1
         except KeyError as exc:
             raise ValueError(f"token {exc.args[0]!r} is not in the vocabulary") from None
-        return cls(order, tokens, keys, values)
+        return model
 
     @property
     def vocab_size(self) -> int:
@@ -285,36 +281,18 @@ def save_model(model: NGramModel, fp: TextIO, *, config: dict | None = None) -> 
         fp.write(NGRAM_FORMAT + "\t" + json.dumps(config, sort_keys=True) + "\n")
     fp.write(f"{model.order}\n")
     fp.write(f"{model.vocab_size}\n")
-    # The columns are already in row order; a slice of rows is formatted per
-    # write. ``key // base`` is the context part of a key, and its text is
-    # built once per context in the slice.
-    base = model.vocab_size + 1
-    tails = ("",) + tuple(f"\t{token}\t" for token in model.tokens)
-    for i in range(0, len(model.row_keys), _SAVE_ROWS):
-        keys = model.row_keys[i : i + _SAVE_ROWS]
-        starts = list(map(base.__rfloordiv__, keys))
-        texts = _context_texts(model, dict.fromkeys(starts))
-        rows = zip(map(texts.__getitem__, starts), map(tails.__getitem__, map(base.__rmod__, keys)), model.row_counts[i : i + _SAVE_ROWS])
-        fp.write("".join([f"{context}{tail}{count}\n" for context, tail, count in rows]))
-
-
-def _context_texts(model: NGramModel, starts: Iterable[int]) -> dict[int, str]:
-    """``{key // base: context field}`` for the context parts ``starts``: the
-    context's tokens joined by spaces. The zero digits that pad a short
-    context become nothing, and every other digit its token, after a space
-    unless it is the first."""
-    base = model.vocab_size + 1
-    first = ("",) + model.tokens
-    later = ("",) + tuple(" " + token for token in model.tokens)
-    starts = list(starts)
-    parts: list[Iterable[str]] = [repeat("", len(starts))]
-    for place in range(model.order - 2, -1, -1):
-        digits = map((base**place).__rfloordiv__, starts)
-        if len(parts) == 1:
-            parts.append(map(first.__getitem__, digits))
-        else:
-            parts.append(map(later.__getitem__, map(base.__rmod__, digits)))
-    return dict(zip(starts, map("".join, zip(*parts))))
+    # _rows gives a context's rows one tuple, so its text is joined once per
+    # run of rows; _SAVE_ROWS formatted rows go out per write.
+    lines: list[str] = []
+    previous = text = None
+    for context, token, count in model._rows():
+        if context is not previous:
+            previous, text = context, " ".join(context)
+        lines.append(f"{text}\t{token}\t{count}\n")
+        if len(lines) == _SAVE_ROWS:
+            fp.write("".join(lines))
+            lines.clear()
+    fp.write("".join(lines))
 
 
 def _parse_rows(fp: TextIO, src: Path, order: int) -> Iterator[tuple[int, str, str, int]]:
@@ -334,6 +312,10 @@ def _parse_rows(fp: TextIO, src: Path, order: int) -> Iterator[tuple[int, str, s
             if context_field and context_field.count(" ") + 1 >= order:
                 raise MalformedModelError(src, line_no, "context longer than order allows")
             previous_field = context_field
+        # Every other token must have a vocabulary row, so checking these
+        # rows keeps every token one that tokenize could produce.
+        if not context_field and token.split() != [token]:
+            raise MalformedModelError(src, line_no, f"vocabulary token {token!r} is not a single token")
         try:
             count = int(count_field)
         except ValueError as exc:

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kgel.errors import EmptyCorpusError, KgelError, LineError, MalformedModelError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
+    _SAVE_ROWS,
     MentionConditionedScorer,
     NGramModel,
     condition_on_mention,
@@ -78,6 +79,30 @@ def dump(model):
     return buffer.getvalue()
 
 
+def reference_valid(order, tables):
+    """Whether ``from_counts`` must accept ``tables``: a non-empty ``()``
+    table of tokens that ``tokenize`` could produce, every other token in
+    it, contexts shorter than ``order`` and positive counts."""
+    vocab = tables.get(())
+    return bool(vocab) and all(token.split() == [token] for token in vocab) and all(
+        len(context) < order and vocab.keys() >= {*context, *table} and all(count >= 1 for count in table.values())
+        for context, table in tables.items()
+    )
+
+
+def assert_builds(path, order, tables):
+    """``from_counts`` writes the reference bytes, and ``load_model`` reads
+    them back to an equal model with columns of the same types."""
+    model = NGramModel.from_counts(order, tables)
+    text = dump(model)
+    assert text == reference_dump(order, tables)
+    path.write_text(text, encoding="utf-8")
+    loaded = load_model(path)
+    assert loaded == model
+    for built, read in ((model.row_keys, loaded.row_keys), (model.row_counts, loaded.row_counts)):
+        assert getattr(built, "typecode", None) == getattr(read, "typecode", None)
+
+
 # Few distinct words in both cases (they fold together), the reserved
 # markers, blank and whitespace-only lines, and runs of separators.
 WORDS = st.sampled_from(["a", "A", "b", "bB", "BB", "ab", "[BOS]", "[eos]"])
@@ -141,6 +166,65 @@ class TestTrain:
         model = train(["[BOS] a b a c [EOS]", "[BOS] b a [EOS]"], order=3)
         for context, counter in model.counts.items():
             assert model.totals[context] == sum(counter.values())
+
+
+@st.composite
+def count_tables(draw):
+    """An order and ``{context: {token: count}}`` tables with contexts of
+    every length below it. Tokens include control characters and case
+    variants, and counts sit on both sides of the 32- and 64-bit column
+    widths. Now and then a table breaks a rule of ``reference_valid``: a
+    vocabulary token that is empty or splits, a token outside the
+    vocabulary, a context as long as the order or a count below 1."""
+    order = draw(st.integers(1, 5))
+    valid = ["a", "A", "b", "aB", "\x00", "\x01", "\x01a", "[eos]"]
+    vocab = draw(st.lists(st.sampled_from(valid * 8 + ["", "a b", "\x1c"]), min_size=1, max_size=6, unique=True))
+    counts = st.sampled_from([1, 2, 2**32 - 1, 2**32, 2**64] * 20 + [0, -1])
+    tables = {(): {token: draw(counts) for token in vocab}}
+    words = st.sampled_from(vocab * 16 + ["z"])
+    for _ in range(draw(st.integers(0, 8))):
+        length = draw(st.sampled_from([*range(order)] * 16 + [order]))
+        context = tuple(draw(words) for _ in range(length))
+        tables[context] = draw(st.dictionaries(words, counts, max_size=4))
+    return order, tables
+
+
+class TestFromCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(case=count_tables())
+    def test_equals_reference_dump(self, tmp_path_factory, case):
+        order, tables = case
+        if reference_valid(order, tables):
+            assert_builds(tmp_path_factory.mktemp("tables") / "model.tsv", order, tables)
+        else:
+            with pytest.raises(ValueError):
+                NGramModel.from_counts(order, tables)
+
+    def test_keys_beyond_64_bits_fill_a_list(self, tmp_path):
+        tables = {(): {"a": 1, "b": 2}, ("a",) * 64: {"b": 3}, ("b", "a"): {"a": 1, "b": 2}, ("b",): {"b": 5}}
+        model = NGramModel.from_counts(65, tables)
+        assert type(model.row_keys) is list and model.row_counts.typecode == "I"
+        assert_builds(tmp_path / "model.tsv", 65, tables)
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {(): {"a": 0}},
+            {(): {"a": -1}},
+            {(): {"a": 1}, ("a",): {"a": 0}},
+            {},
+            {(): {}},
+            {(): {"": 1, "a": 2}, ("",): {"a": 1}},
+            {(): {"a b": 1}},
+            {(): {"a\x1cb": 1}},
+        ],
+        ids=["zero_count", "negative_count", "zero_context_count", "no_tables", "empty_vocabulary", "empty_token", "spaced_token", "separator_token"],
+    )
+    def test_rejects_tables_that_would_not_load_back(self, tables):
+        """A model built from any of these would save a file that
+        load_model rejects or reads back as another model."""
+        with pytest.raises(ValueError):
+            NGramModel.from_counts(2, tables)
 
 
 class TestScoreNext:
@@ -435,8 +519,15 @@ class TestModelIO:
             (b"\ta\t1\n\tb\tx\r\n", (5, "bad count")),
             (b"\ta\t0\n", (4, "counts must be positive")),
             (b"a b\tc\t1\n", (4, "context longer than order allows")),
+            (b"\t\t1\n\ta\t2\n", (4, "vocabulary token '' is not a single token")),
+            (b"\ta\t1\n\ta b\t2\n", (5, "vocabulary token 'a b' is not a single token")),
+            (b"\ta\t1\n\ta\x1cb\t2\n", (5, "vocabulary token 'a\\x1cb' is not a single token")),
+            (b"\tb\t1\nb\tb\t1\n\t \t2\n", (6, "vocabulary token ' ' is not a single token")),
         ],
-        ids=["blank_lines", "padded_counts", "two_fields", "space_line", "empty_count", "bad_count", "zero_count", "long_context"],
+        ids=[
+            "blank_lines", "padded_counts", "two_fields", "space_line", "empty_count", "bad_count", "zero_count", "long_context",
+            "empty_vocabulary_token", "spaced_vocabulary_token", "separator_vocabulary_token", "late_vocabulary_token",
+        ],
     )
     def test_rows(self, tmp_path, rows, expected):
         path = tmp_path / "model.tsv"
@@ -524,16 +615,28 @@ class TestModelIO:
             pass
 
 
+def wide_lines():
+    """2,500 ten-word lines over 400 words: an order-3 model of 47,064 rows."""
+    rng = random.Random(48)
+    words = [f"w{i}" for i in range(400)]
+    return ["[BOS] " + " ".join(rng.choice(words) for _ in range(10)) + " [EOS]" for _ in range(2500)]
+
+
 class TestLayout:
+    def test_save_spans_write_chunks(self):
+        """save_model formats _SAVE_ROWS rows per write; a model of several
+        chunks is written byte for byte as the reference writes it."""
+        lines = wide_lines()
+        model = train(lines, order=3)
+        assert len(model.row_keys) > 2 * _SAVE_ROWS
+        assert dump(model) == reference_dump(3, reference_train(lines, 3)[0])
+
     def test_loaded_rows_stay_compact(self, tmp_path):
         """The loaded tables cost a few bytes per row: sorted integer columns,
         not a dict per context (about 110 bytes per row)."""
-        rng = random.Random(48)
-        words = [f"w{i}" for i in range(400)]
-        lines = ["[BOS] " + " ".join(rng.choice(words) for _ in range(10)) + " [EOS]" for _ in range(2500)]
         path = tmp_path / "model.tsv"
         with open(path, "w", encoding="utf-8") as fp:
-            save_model(train(lines, order=3), fp)
+            save_model(train(wide_lines(), order=3), fp)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
