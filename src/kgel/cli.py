@@ -144,7 +144,8 @@ def cmd_train_scorer(args) -> int:
     config = {"command": "train-scorer", "seed": DEFAULT_SEED, "order": args.order}
     # The KG and the dataset are read, and released, before counting starts;
     # the corpus is then read as train consumes it. So their errors come
-    # before the corpus's, and counting holds only the count tables.
+    # before the corpus's, and counting holds a token stream, its counted
+    # runs and the model's columns, not the graph or the corpus records.
     finetune_lines: list[str] = []
     if args.dataset:
         config.update({"dataset": args.dataset, "kg": args.kg})

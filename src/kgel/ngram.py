@@ -16,9 +16,10 @@ import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import add, mul
 from pathlib import Path
 from sys import intern
 from typing import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
@@ -34,6 +35,13 @@ NGRAM_FORMAT = "kgel-ngram-v1"
 DEFAULT_ORDER = 3
 # Rows that save_model formats per write.
 _SAVE_ROWS = 1 << 14
+# Keys that train counts into one sorted run, and run entries it merges at
+# a time.
+_RUN_KEYS = 1 << 13
+_MERGE_ROWS = 1 << 14
+# bytes.translate tables between 0 and 1 bytes and base-2 digits.
+_TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_BINARY = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _column(bound: int, size: int = 0) -> MutableSequence[int]:
@@ -105,7 +113,7 @@ class NGramModel:
             raise ValueError("counts must be positive")
         # Both columns are made at their full size and filled by index:
         # growing them would copy them while the count tables are still
-        # held, which would add to the peak memory of training.
+        # held.
         size = sum(map(len, counts.values()))
         tokens = tuple(sorted(vocab))
         keys = _column((len(tokens) + 1) ** order, size)
@@ -218,26 +226,124 @@ class NGramModel:
 
 
 def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
-    """Accumulate counts over each target's token sequence (the [BOS]/[EOS]
-    markers are ordinary tokens of the line)."""
+    """Count every window of up to ``order`` tokens in each target's token
+    sequence (the [BOS]/[EOS] markers are ordinary tokens of the line).
+
+    The targets are read once into a stream of token ids with a 0 after each
+    line; once the vocabulary is sorted, each id is replaced by its token's
+    digit. A window's key is then a sum of stream values times place values,
+    so the keys of each width come from C-level maps over shifted views of
+    the stream, a piece at a time, and windows that hold a 0 cross a line
+    break and are dropped. The keys are counted ``_RUN_KEYS`` at a time into runs sorted
+    by key, and the runs are merged a key range at a time, summing equal
+    keys, straight into the model's columns."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    unigrams: Counter = Counter()
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    ids: defaultdict[str, int] = defaultdict(count(1).__next__)
+    stream = array("H")
     for line in targets:
         tokens = tokenize(line)
-        unigrams.update(tokens)
-        for length in range(1, min(order, len(tokens))):
-            # Every window of `length` tokens paired with the token after it.
-            for context, token in zip(zip(*[tokens[i:] for i in range(length)]), tokens[length:]):
-                counter = counts.get(context)
-                if counter is None:
-                    counter = counts[context] = {}
-                counter[token] = counter.get(token, 0) + 1
-    if not unigrams:
+        if tokens:
+            end = len(stream)
+            try:
+                stream.extend(map(ids.__getitem__, tokens))
+            except OverflowError:
+                # The ids outgrew 2 bytes: widen once and redo this line.
+                del stream[end:]
+                stream = array("I", stream)
+                stream.extend(map(ids.__getitem__, tokens))
+            stream.append(0)
+    if not ids:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    counts[()] = unigrams
-    return NGramModel.from_counts(order, counts)
+    vocab = tuple(sorted(ids))
+    digits = [0] * (len(vocab) + 1)
+    for digit, token in enumerate(vocab, 1):
+        digits[ids[token]] = digit
+    del ids
+    # In slices: a copy of the whole stream would add to the peak.
+    for i in range(0, len(stream), _RUN_KEYS):
+        stream[i:i + _RUN_KEYS] = array(stream.typecode, map(digits.__getitem__, stream[i:i + _RUN_KEYS]))
+    del digits
+    base = len(vocab) + 1
+    keys = _column(base ** order)
+    # No count exceeds the number of tokens.
+    values = _column(len(stream) + 1)
+    runs = _count_runs(chain.from_iterable(_window_keys(stream, base, order)), keys)
+    del stream
+    _merge_runs(runs, keys, values)
+    return NGramModel(order, vocab, keys, values)
+
+
+def _window_keys(stream: Sequence[int], base: int, order: int) -> Iterator[Iterator[int]]:
+    """For each window width from 1 to ``order``, the keys of the windows of
+    ``stream`` that hold no 0, in stream order and in pieces of up to
+    ``_RUN_KEYS`` windows, each made once the one before is used up. A
+    window's key has the digits of its first ``width - 1`` tokens in the
+    leading places of an ``order``-place number in ``base``, and its last
+    token's digit in the last place."""
+    yield filter(None, stream)
+    for width in range(2, order + 1):
+        for start in range(0, len(stream) - width + 1, _RUN_KEYS):
+            part = stream[start:start + _RUN_KEYS + width - 1]
+            keys = map(mul, part, repeat(base ** (order - 1)))
+            for offset in range(1, width - 1):
+                keys = map(add, keys, map(mul, islice(part, offset, None), repeat(base ** (order - 1 - offset))))
+            yield compress(map(add, keys, islice(part, width - 1, None)), _whole_windows(part, width))
+
+
+def _whole_windows(part: Sequence[int], width: int) -> bytes:
+    """A 1 byte for each ``width``-value window of ``part`` that holds no 0,
+    and a 0 byte for each other one. Bit ``len(part) - 1 - i`` of ``filled``
+    is set when ``part[i]`` is not 0, so the AND of ``filled`` shifted by 0
+    to ``width - 1`` places has it set when the window at ``i`` holds no 0:
+    big-int operations test a machine word of windows at a time."""
+    filled = int(bytes(map(bool, part)).translate(_TO_BINARY), 2)
+    whole = filled
+    for shift in range(1, width):
+        whole &= filled << shift
+    return format(whole >> (width - 1), f"0{len(part) - width + 1}b").encode().translate(_FROM_BINARY)
+
+
+def _count_runs(keys: Iterator[int], column: MutableSequence[int]) -> list[tuple[MutableSequence[int], array]]:
+    """``keys`` counted ``_RUN_KEYS`` at a time: for each chunk, its distinct
+    keys in ascending order, in an empty copy of ``column``, and a column of
+    their counts."""
+    runs = []
+    while counter := Counter(islice(keys, _RUN_KEYS)):
+        ordered = sorted(counter)
+        run_keys = column[:0]
+        run_keys.extend(ordered)
+        run_counts = _column(_RUN_KEYS + 1)
+        run_counts.extend(map(counter.__getitem__, ordered))
+        runs.append((run_keys, run_counts))
+    return runs
+
+
+def _merge_runs(runs: list[tuple[MutableSequence[int], array]], keys: MutableSequence[int], values: MutableSequence[int]) -> None:
+    """Append the rows of ``runs`` to ``keys`` and ``values`` in key order,
+    with the counts of a key summed over the runs. Each pass takes the next
+    key range, which holds at most ``step`` entries of each run, so about
+    ``_MERGE_ROWS`` in all: it ends at the lowest key that lies ``step``
+    entries past a run's position, or takes the rest when no run has that
+    many left."""
+    step = max(1, _MERGE_ROWS // len(runs))
+    lows = [0] * len(runs)
+    while True:
+        end = min((run_keys[low + step] for (run_keys, _), low in zip(runs, lows) if low + step < len(run_keys)), default=None)
+        merged: dict[int, int] = {}
+        for i, (run_keys, run_counts) in enumerate(runs):
+            low = lows[i]
+            high = lows[i] = len(run_keys) if end is None else bisect_left(run_keys, end, low)
+            some = run_keys[low:high]
+            # A run's keys are distinct, so each get reads the sum over the
+            # runs before this one.
+            merged.update(zip(some, map(add, run_counts[low:high], map(merged.get, some, repeat(0)))))
+        # The dict holds ascending runs of keys, which one sort merges.
+        ordered = sorted(merged)
+        keys.extend(ordered)
+        values.extend(map(merged.__getitem__, ordered))
+        if end is None:
+            return
 
 
 @dataclass(frozen=True)

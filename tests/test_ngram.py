@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kgel import ngram
 from kgel.errors import EmptyCorpusError, KgelError, LineError, MalformedModelError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
@@ -166,6 +167,51 @@ class TestTrain:
         model = train(["[BOS] a b a c [EOS]", "[BOS] b a [EOS]"], order=3)
         for context, counter in model.counts.items():
             assert model.totals[context] == sum(counter.values())
+
+
+def assert_trains_like_reference(lines, order):
+    counts, _, _ = reference_train(lines, order)
+    model = train(iter(lines), order)
+    assert dump(model) == reference_dump(order, counts)
+    return model
+
+
+class TestRunMerge:
+    """``train`` counts a few keys at a time into sorted runs and merges them
+    a key range at a time; tiny sizes make one row's occurrences land in
+    several runs and split every merge into many ranges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(LINES, max_size=12),
+        order=st.integers(1, 5),
+        run_keys=st.integers(1, 7),
+        merge_rows=st.integers(1, 7),
+    )
+    def test_small_runs_equal_reference(self, lines, order, run_keys, merge_rows):
+        assume(any(tokenize(line) for line in lines))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ngram, "_RUN_KEYS", run_keys)
+            patch.setattr(ngram, "_MERGE_ROWS", merge_rows)
+            assert_trains_like_reference(lines, order)
+
+    def test_no_row_across_a_line_break(self):
+        model = assert_trains_like_reference(["a b", "c d"], 3)
+        assert model.counts == {(): {"a": 1, "b": 1, "c": 1, "d": 1}, ("a",): {"b": 1}, ("c",): {"d": 1}}
+
+    def test_line_shorter_than_the_order(self):
+        model = assert_trains_like_reference(["x", "[BOS] a b [EOS]", "y z"], 5)
+        assert model.counts[()]["x"] == 1
+        assert ("x",) not in model.counts and model.counts[("y",)] == {"z": 1}
+
+    def test_vocabulary_past_two_byte_ids(self):
+        """70,000 distinct tokens: the 65,536th arrives inside a line, so the
+        token id stream is widened there and the line is read again."""
+        words = [f"w{i}" for i in range(70_000)]
+        lines = [" ".join(words[i:i + 7]) for i in range(0, len(words), 7)] + ["w0 w69999 w65535"]
+        model = assert_trains_like_reference(lines, 2)
+        assert model.vocab_size == 70_000
+        assert model.counts[("w69999",)] == {"w65535": 1}
 
 
 @st.composite
@@ -630,6 +676,20 @@ class TestLayout:
         model = train(lines, order=3)
         assert len(model.row_keys) > 2 * _SAVE_ROWS
         assert dump(model) == reference_dump(3, reference_train(lines, 3)[0])
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_training_stays_compact(self, order):
+        """Training peaks at a few dozen bytes per row of the model it
+        returns: a token stream, bounded runs and the columns, not a dict
+        per context (about 150 bytes per row at order 3)."""
+        lines = wide_lines()
+        tracemalloc.start()
+        try:
+            model = train(lines, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(model.row_keys) < 64
 
     def test_loaded_rows_stay_compact(self, tmp_path):
         """The loaded tables cost a few bytes per row: sorted integer columns,
