@@ -52,13 +52,6 @@ class LookupTable:
     def is_ambiguous(self, surface: str) -> bool:
         return len(self.owners(surface)) > 1
 
-    @property
-    def ambiguous_count(self) -> int:
-        return sum(1 for owners in self.entries.values() if len(owners) > 1)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def build_lookup(kg: KnowledgeGraph) -> LookupTable:
     surfaces: dict[str, set[str]] = {}

@@ -19,10 +19,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from operator import add, mul
+from operator import add, eq, mul
 from pathlib import Path
 from sys import intern
-from typing import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, MutableSequence, Sequence, TextIO
 
 from .errors import EmptyCorpusError, MalformedModelError
 from .ingest import Document, locate_invalid_utf8
@@ -44,23 +44,13 @@ _TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_BINARY = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _column(bound: int, size: int = 0) -> MutableSequence[int]:
-    """A column of ``size`` zeros for ints in ``range(bound)``: the narrowest
-    unsigned ``array`` that holds them, or a plain list when 64 bits do not."""
+def _column(bound: int) -> MutableSequence[int]:
+    """An empty column for ints in ``range(bound)``: the narrowest unsigned
+    ``array`` that holds them, or a plain list when 64 bits do not."""
     for code in "IQ":
         if bound <= 1 << 8 * array(code).itemsize:
-            return array(code, [0]) * size
-    return [0] * size
-
-
-def _holding(column: MutableSequence[int], value: int) -> MutableSequence[int]:
-    """``column`` if ``value`` fits it; otherwise a copy of it in the
-    narrowest column that holds ``value``, which is then above every entry."""
-    if isinstance(column, array) and value >> 8 * column.itemsize:
-        wider = _column(value + 1)
-        wider.extend(iter(column))
-        return wider
-    return column
+            return array(code)
+    return []
 
 
 @dataclass(frozen=True)
@@ -76,8 +66,10 @@ class NGramModel:
     therefore (context, token) order, the order ``save_model`` writes, and the
     columns are kept in it: a context's rows are one slice, found by bisection.
     Each column is an unsigned ``array`` as narrow as its values allow, or a
-    list of ints when keys need more than 64 bits. ``counts`` and ``totals``
-    are fresh dict snapshots of the rows; scoring never reads them."""
+    list of ints when keys need more than 64 bits. :func:`train` and
+    :func:`load_model` fill the columns, encoding every row through
+    ``_start``; ``_rows`` decodes them. ``counts`` and ``totals`` are fresh
+    dict snapshots of the rows; scoring never reads them."""
 
     order: int
     tokens: tuple[str, ...]
@@ -93,49 +85,6 @@ class NGramModel:
         object.__setattr__(self, "vocab", frozenset(self.tokens))
         object.__setattr__(self, "_digits", {token: digit for digit, token in enumerate(self.tokens, 1)})
         object.__setattr__(self, "_scales", tuple(base ** (self.order - n) for n in range(self.order)))
-
-    @classmethod
-    def from_counts(cls, order: int, counts: Mapping[tuple[str, ...], Mapping[str, int]]) -> NGramModel:
-        """The model of ``{context: {token: count}}`` tables; the vocabulary
-        is the token set of the ``()`` table. Raises ``ValueError`` unless
-        every context is shorter than ``order``, the ``()`` table is
-        non-empty, each of its tokens is one ``tokenize`` could produce,
-        every other token is in it and every count is positive."""
-        if max(map(len, counts), default=0) >= order:
-            raise ValueError("context longer than order allows")
-        vocab = counts.get(())
-        if not vocab:
-            raise ValueError("the () table must list the vocabulary")
-        for token in vocab:
-            if token.split() != [token]:
-                raise ValueError(f"vocabulary token {token!r} is not a single token")
-        if min(min(table.values()) for table in counts.values() if table) < 1:
-            raise ValueError("counts must be positive")
-        # Both columns are made at their full size and filled by index:
-        # growing them would copy them while the count tables are still
-        # held.
-        size = sum(map(len, counts.values()))
-        tokens = tuple(sorted(vocab))
-        keys = _column((len(tokens) + 1) ** order, size)
-        values = _column(max(max(table.values()) for table in counts.values() if table) + 1, size)
-        model = cls(order, tokens, keys, values)
-        digits = model._digits
-        i = 0
-        try:
-            # A context sorts before its extensions both as a tuple and as a
-            # key, so tuple order is key order.
-            for context in sorted(counts):
-                start = model._start(context)
-                if start is None:
-                    raise ValueError(f"context {context!r} has a token outside the vocabulary")
-                table = counts[context]
-                for token in sorted(table):
-                    keys[i] = start + digits[token]
-                    values[i] = table[token]
-                    i += 1
-        except KeyError as exc:
-            raise ValueError(f"token {exc.args[0]!r} is not in the vocabulary") from None
-        return model
 
     @property
     def vocab_size(self) -> int:
@@ -439,12 +388,13 @@ def _vocab_mismatch(src: Path, vocab_size: int, rows: int) -> MalformedModelErro
     return MalformedModelError(src, 3, f"vocabulary size {vocab_size} does not match rows ({rows})")
 
 
-def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int, vocab_size: int) -> NGramModel:
+def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int) -> NGramModel | None:
     """The model of ``rows`` as ``save_model`` orders them, streamed into the
     columns: the ``()`` rows, which make the vocabulary, then keys in
-    ascending order. From the first row out of that order on, the rest goes
-    to :func:`_load_unordered`. Only the vocabulary's tokens are kept, so
-    only they are interned."""
+    ascending order. None at the first row that is out of that order, names
+    a token with no vocabulary row before it or holds a count too wide for
+    the count column: :func:`_load_unordered` reads such a file. Only the
+    vocabulary's tokens are kept, so only they are interned."""
     tokens: list[str] = []
     counts: list[int] = []
     row = None
@@ -455,7 +405,7 @@ def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int,
         if tokens and token <= tokens[-1]:
             if token == tokens[-1]:
                 raise _duplicate(src, row[0], context_field, token)
-            return _load_unordered(zip(repeat(()), tokens, counts), chain([row], rows), src, order, vocab_size)
+            return None
         tokens.append(intern(token))
         counts.append(count)
     else:
@@ -481,51 +431,67 @@ def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int,
             if key is None or key <= previous:
                 if key == previous:
                     raise _duplicate(src, row[0], context_field, token)
-                accepted = NGramModel(order, shape.tokens, keys, values)._rows()
-                return _load_unordered(accepted, chain([row], rows), src, order, vocab_size)
+                return None
             previous = key
             append_key(key)
             try:
                 append_count(count)
             except OverflowError:
-                values = _holding(values, count)
-                append_count = values.append
-                append_count(count)
-    if len(tokens) != vocab_size:
-        raise _vocab_mismatch(src, vocab_size, len(tokens))
+                return None
     return NGramModel(order, tuple(tokens), keys, values)
 
 
-def _load_unordered(
-    accepted: Iterable[tuple[tuple[str, ...], str, int]],
-    rows: Iterable[tuple[int, str, str, int]],
-    src: Path,
-    order: int,
-    vocab_size: int,
-) -> NGramModel:
-    """The model of rows in any order: ``accepted`` rows already known to be
-    in order and in the vocabulary, then the parsed ``rows``, gathered into
-    tables and sorted once by :meth:`NGramModel.from_counts`."""
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
-    for context, token, count in accepted:
-        counts.setdefault(context, {})[token] = count
-    lines = []
-    for line_no, context_field, token, count in rows:
-        context = tuple(map(intern, context_field.split(" "))) if context_field else ()
-        token = intern(token)
-        table = counts.setdefault(context, {})
-        if token in table:
-            raise _duplicate(src, line_no, context_field, token)
-        table[token] = count
-        lines.append((line_no, context, token))
-    vocab = counts.get((), {})
-    if len(vocab) != vocab_size:
-        raise _vocab_mismatch(src, vocab_size, len(vocab))
-    for line_no, context, token in lines:
-        for name in (*context, token):
-            if name not in vocab:
-                raise MalformedModelError(src, line_no, f"token {name!r} has no vocabulary row")
-    return NGramModel.from_counts(order, counts)
+def _load_unordered(rows: Callable[[], Iterator[tuple[int, str, str, int]]], src: Path, order: int) -> NGramModel:
+    """The model of rows in any order, from two reads of ``rows()``. The
+    first gathers the vocabulary (the ``()`` rows) and the largest count;
+    the second encodes each row as a key in a key column, beside its count
+    and its line number. One stable sort of the row indices by key then
+    orders all three, so a duplicate row is two equal neighbouring keys,
+    and is reported at the later line."""
+    vocab: set[str] = set()
+    top = 0
+    for _, context_field, token, count in rows():
+        if not context_field:
+            vocab.add(token)
+        top = max(top, count)
+    tokens = tuple(sorted(map(intern, vocab)))
+    del vocab
+    shape = NGramModel(order, tokens, (), ())
+    start_of, digits = shape._start, shape._digits
+    keys = _column((len(tokens) + 1) ** order)
+    counts = _column(top + 1)
+    lines = array("I")
+    last_field = start = None
+    for line_no, context_field, token, count in rows():
+        if context_field != last_field:
+            last_field = context_field
+            context = context_field.split(" ") if context_field else ()
+            start = start_of(context)
+        digit = digits.get(token)
+        if start is None or digit is None:
+            name = next(name for name in (*context, token) if name not in digits)
+            raise MalformedModelError(src, line_no, f"token {name!r} has no vocabulary row")
+        keys.append(start + digit)
+        counts.append(count)
+        lines.append(line_no)
+    # sorted is stable: the rows of one key stay in line order.
+    ranked = sorted(range(len(keys)), key=keys.__getitem__)
+    keys, counts, lines = (_permuted(column, ranked) for column in (keys, counts, lines))
+    del ranked
+    repeats = compress(range(1, len(keys)), map(eq, islice(keys, 1, None), keys))
+    first = min(repeats, key=lines.__getitem__, default=None)
+    if first is not None:
+        context, token, _ = next(NGramModel(order, tokens, keys[first:first + 1], counts[first:first + 1])._rows())
+        raise _duplicate(src, lines[first], " ".join(context), token)
+    return NGramModel(order, tokens, keys, counts)
+
+
+def _permuted(column: MutableSequence[int], ranked: Iterable[int]) -> MutableSequence[int]:
+    """A column of ``column``'s type holding ``column[i]`` for each ``i`` of
+    ``ranked``, in that order."""
+    permuted = column[:0]
+    permuted.extend(map(column.__getitem__, ranked))
+    return permuted
 
 
 def load_model(path: str | Path) -> NGramModel:
@@ -544,6 +510,17 @@ def load_model(path: str | Path) -> NGramModel:
             order, vocab_size = sizes
             if order < 1 or vocab_size < 1:
                 raise MalformedModelError(src, 2 if order < 1 else 3, "order and vocabulary size must be positive")
-            return _load_rows(_parse_rows(fp, src, order), src, order, vocab_size)
+            body = fp.tell()
+
+            def rows() -> Iterator[tuple[int, str, str, int]]:
+                fp.seek(body)
+                return _parse_rows(fp, src, order)
+
+            model = _load_rows(rows(), src, order)
+            if model is None:
+                model = _load_unordered(rows, src, order)
     except UnicodeDecodeError:
         raise MalformedModelError(src, *locate_invalid_utf8(src)) from None
+    if model.vocab_size != vocab_size:
+        raise _vocab_mismatch(src, vocab_size, model.vocab_size)
+    return model

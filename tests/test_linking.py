@@ -33,7 +33,7 @@ def uniform_factory(_surface):
 class TestBuildLookup:
     def test_unambiguous_fixture(self, toy_kg):
         table = build_lookup(toy_kg)
-        assert table.ambiguous_count == 0
+        assert all(len(owners) == 1 for owners in table.entries.values())
         for entity in toy_kg.entities.values():
             for synonym in entity.synonyms:
                 assert table.owners(synonym) == (entity.id,)
@@ -42,12 +42,12 @@ class TestBuildLookup:
         kg = build_kg([Entity.make("A", "aspirin"), Entity.make("B", "Aspirin ")], [], [])
         table = build_lookup(kg)
         assert table.owners("aspirin") == ("A", "B")
-        assert table.ambiguous_count == 1
+        assert table.entries == {"aspirin": ("A", "B")}
         assert table.is_ambiguous("ASPIRIN")
 
     def test_empty_kg(self):
         table = build_lookup(build_kg([], [], []))
-        assert len(table) == 0
+        assert table.entries == {}
         assert table.owners("anything") == ()
 
     def test_entries_equal_trie_terminal_payloads(self, linkbench):
@@ -58,9 +58,9 @@ class TestBuildLookup:
         )
         trie = build_trie(kg)
         table = build_lookup(kg)
-        assert table.ambiguous_count == 1
+        assert [s for s, owners in table.entries.items() if len(owners) > 1] == ["shared name"]
         assert {s: trie.entities_at(s.split()) for s in table.entries} == table.entries
-        assert len(trie) == len(table)
+        assert len(trie) == len(table.entries)
 
 
 class TestLinkMention:

@@ -14,7 +14,6 @@ from kgel.kg import Entity, build_kg
 from kgel.ngram import (
     _SAVE_ROWS,
     MentionConditionedScorer,
-    NGramModel,
     condition_on_mention,
     finetune_targets,
     load_model,
@@ -56,7 +55,7 @@ def reference_train(targets, order):
 def reference_dump(order, counts):
     """The dict-of-dicts writer ``save_model`` used before the columns: the
     expected bytes of a model with these tables."""
-    lines = ["kgel-ngram-v1\n", f"{order}\n", f"{len(counts[()])}\n"]
+    lines = ["kgel-ngram-v1\n", f"{order}\n", f"{len(counts.get((), {}))}\n"]
     for context in sorted(counts):
         for token in sorted(counts[context]):
             lines.append(f"{' '.join(context)}\t{token}\t{counts[context][token]}\n")
@@ -81,27 +80,47 @@ def dump(model):
 
 
 def reference_valid(order, tables):
-    """Whether ``from_counts`` must accept ``tables``: a non-empty ``()``
-    table of tokens that ``tokenize`` could produce, every other token in
-    it, contexts shorter than ``order`` and positive counts."""
+    """Whether ``load_model`` must accept the ``reference_dump`` of
+    ``tables``: a non-empty ``()`` table of tokens that ``tokenize`` could
+    produce, and in every other table that has rows (an empty one writes no
+    line), tokens from it, a context shorter than ``order`` and positive
+    counts."""
     vocab = tables.get(())
     return bool(vocab) and all(token.split() == [token] for token in vocab) and all(
         len(context) < order and vocab.keys() >= {*context, *table} and all(count >= 1 for count in table.values())
         for context, table in tables.items()
+        if table
     )
 
 
-def assert_builds(path, order, tables):
-    """``from_counts`` writes the reference bytes, and ``load_model`` reads
-    them back to an equal model with columns of the same types."""
-    model = NGramModel.from_counts(order, tables)
-    text = dump(model)
-    assert text == reference_dump(order, tables)
-    path.write_text(text, encoding="utf-8")
-    loaded = load_model(path)
-    assert loaded == model
-    for built, read in ((model.row_keys, loaded.row_keys), (model.row_counts, loaded.row_counts)):
-        assert getattr(built, "typecode", None) == getattr(read, "typecode", None)
+def column_type(bound):
+    """The typecode of the narrowest unsigned column for ints below
+    ``bound``, or None for a list."""
+    return "I" if bound <= 2**32 else "Q" if bound <= 2**64 else None
+
+
+def assert_loads(directory, order, tables):
+    """``load_model`` reads the ``reference_dump`` of ``tables``, and the
+    same rows reversed, to a model that saves the reference bytes, in
+    columns as narrow as its widest key and count allow, or raises
+    ``MalformedModelError`` for both unless ``reference_valid`` holds."""
+    text = reference_dump(order, tables)
+    lines = text.splitlines(keepends=True)
+    models = []
+    for name, body in (("sorted", lines[3:]), ("reversed", lines[3:][::-1])):
+        path = directory / f"{name}.tsv"
+        path.write_text("".join(lines[:3] + body), encoding="utf-8")
+        if not reference_valid(order, tables):
+            with pytest.raises(MalformedModelError):
+                load_model(path)
+            continue
+        model = load_model(path)
+        assert dump(model) == text
+        widest = max(count for table in tables.values() for count in table.values())
+        assert getattr(model.row_keys, "typecode", None) == column_type((len(tables[()]) + 1) ** order)
+        assert getattr(model.row_counts, "typecode", None) == column_type(widest + 1)
+        models.append(model)
+    return models
 
 
 # Few distinct words in both cases (they fold together), the reserved
@@ -128,7 +147,6 @@ class TestTrain:
         assert model.counts == counts
         assert model.totals == totals
         assert model.vocab == vocab
-        assert dump(model) == dump(NGramModel.from_counts(order, counts))
         assert dump(model) == reference_dump(order, counts)
 
     def test_single_observation(self):
@@ -236,21 +254,21 @@ def count_tables(draw):
 
 
 class TestFromCounts:
+    """A model from ``{context: {token: count}}`` tables: their
+    ``reference_dump`` bytes, in save order and reversed, through
+    ``load_model``."""
+
     @settings(max_examples=300, deadline=None)
     @given(case=count_tables())
     def test_equals_reference_dump(self, tmp_path_factory, case):
         order, tables = case
-        if reference_valid(order, tables):
-            assert_builds(tmp_path_factory.mktemp("tables") / "model.tsv", order, tables)
-        else:
-            with pytest.raises(ValueError):
-                NGramModel.from_counts(order, tables)
+        assert_loads(tmp_path_factory.mktemp("tables"), order, tables)
 
     def test_keys_beyond_64_bits_fill_a_list(self, tmp_path):
         tables = {(): {"a": 1, "b": 2}, ("a",) * 64: {"b": 3}, ("b", "a"): {"a": 1, "b": 2}, ("b",): {"b": 5}}
-        model = NGramModel.from_counts(65, tables)
-        assert type(model.row_keys) is list and model.row_counts.typecode == "I"
-        assert_builds(tmp_path / "model.tsv", 65, tables)
+        models = assert_loads(tmp_path, 65, tables)
+        assert len(models) == 2 and models[0] == models[1]
+        assert type(models[0].row_keys) is list and models[0].row_counts.typecode == "I"
 
     @pytest.mark.parametrize(
         "tables",
@@ -266,11 +284,11 @@ class TestFromCounts:
         ],
         ids=["zero_count", "negative_count", "zero_context_count", "no_tables", "empty_vocabulary", "empty_token", "spaced_token", "separator_token"],
     )
-    def test_rejects_tables_that_would_not_load_back(self, tables):
-        """A model built from any of these would save a file that
-        load_model rejects or reads back as another model."""
-        with pytest.raises(ValueError):
-            NGramModel.from_counts(2, tables)
+    def test_rejects_tables_that_would_not_load_back(self, tmp_path, tables):
+        """No model file holds any of these tables: load_model rejects their
+        rows in either order."""
+        assert not reference_valid(2, tables)
+        assert_loads(tmp_path, 2, tables)
 
 
 class TestScoreNext:
@@ -511,6 +529,39 @@ class TestModelIO:
         assert load_model(path) == model
 
     @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.lists(LINES, max_size=12),
+        order=st.integers(2, 5),
+        rng=st.randoms(use_true_random=False),
+        duplicate=st.booleans(),
+    )
+    def test_unordered_rows_report_the_bad_line(self, tmp_path_factory, lines, order, rng, duplicate):
+        """Shuffled rows plus one row repeated at a later position, or one
+        row that names a token with no vocabulary row: the error names the
+        repeat's line, or the bad row's."""
+        assume(any(tokenize(line) for line in lines))
+        model = train(lines, order)
+        text = dump(model).splitlines(keepends=True)
+        header, rows = text[:3], text[3:]
+        rng.shuffle(rows)
+        if duplicate:
+            first = rng.randrange(len(rows))
+            at = rng.randint(first + 1, len(rows))
+            rows.insert(at, rows[first])
+            context_field, token, _ = rows[at].split("\t")
+            reason = f"duplicate row for context {context_field!r}, token {token!r}"
+        else:
+            known = rng.choice(model.tokens)
+            at = rng.randint(0, len(rows))
+            rows.insert(at, rng.choice([f"zzz\t{known}\t1\n", f"{known}\tzzz\t1\n"]))
+            reason = "token 'zzz' has no vocabulary row"
+        path = tmp_path_factory.mktemp("rows") / "model.tsv"
+        path.write_text("".join(header + rows), encoding="utf-8")
+        with pytest.raises(MalformedModelError) as info:
+            load_model(path)
+        assert (info.value.line_no, info.value.reason) == (4 + at, reason)
+
+    @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
     def test_tables_are_plain_dicts_and_round_trip(self, tmp_path_factory, lines, order):
         assume(any(tokenize(line) for line in lines))
@@ -632,7 +683,17 @@ class TestModelIO:
         model = load_model(path)
         assert getattr(model.row_counts, "typecode", None) == column
         assert model.counts == {(): {"a": 1, "b": count}, ("a",): {"b": count}}
-        assert model == NGramModel.from_counts(2, model.counts)
+        assert dump(model) == text
+
+    def test_late_wide_count_widens_the_count_column(self, tmp_path):
+        """The vocabulary's counts fit 32 bits and a later row's does not:
+        the count column is sized for the largest count of the file."""
+        path = tmp_path / "model.tsv"
+        text = "kgel-ngram-v1\n2\n2\n\ta\t1\n\tb\t1\na\tb\t1099511627776\n"
+        path.write_text(text, encoding="utf-8")
+        model = load_model(path)
+        assert model.row_counts.typecode == "Q"
+        assert model.counts == {(): {"a": 1, "b": 1}, ("a",): {"b": 2**40}}
         assert dump(model) == text
 
     def test_rejects_duplicate_row(self, tmp_path):
@@ -690,6 +751,24 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         assert peak / len(model.row_keys) < 64
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_unordered_load_stays_compact(self, tmp_path, order):
+        """A file whose rows are reversed loads through integer columns of
+        keys, counts and line numbers and one sort of their indices, not a
+        dict per context or a tuple of strings per row: about 100 bytes per
+        row at its peak (about 280 and 340 bytes through dict tables)."""
+        text = dump(train(wide_lines(), order)).splitlines(keepends=True)
+        path = tmp_path / "model.tsv"
+        path.write_text("".join(text[:3] + text[3:][::-1]), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dump(model) == "".join(text)
+        assert peak / len(model.row_keys) < 160
 
     def test_loaded_rows_stay_compact(self, tmp_path):
         """The loaded tables cost a few bytes per row: sorted integer columns,
