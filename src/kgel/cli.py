@@ -17,14 +17,18 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
+import pickle
+import signal
 import stat
 import sys
-from itertools import chain
-from typing import Iterable, TextIO
+from array import array
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterator, TextIO
 
-from . import __version__
+from . import __version__, linking
 from .errors import KgelError
 from .evaluate import report
 from .ingest import DATASET_FORMAT, KG_TSV_FORMAT, dataset_stats, parse_dataset, parse_kg_dir
@@ -106,6 +110,106 @@ def _open_output(path: str) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="")
 
 
+class _ColumnPickler(pickle.Pickler):
+    """Pickles each ``array`` as its index in ``columns``, so that its raw
+    bytes can be sent apart from the pickle."""
+
+    def __init__(self, fp):
+        super().__init__(fp, pickle.HIGHEST_PROTOCOL)
+        self.columns: list[array] = []
+
+    def persistent_id(self, obj):
+        if type(obj) is not array:
+            return None
+        self.columns.append(obj)
+        return len(self.columns) - 1
+
+
+def _read_column(fp, typecode: str, length: int) -> array:
+    column = array(typecode, [0]) * length
+    if fp.readinto(column) != len(column) * column.itemsize:
+        raise EOFError
+    return column
+
+
+def _outcome(fn: Callable, args: tuple) -> tuple[bool, object]:
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+def _unpack(outcome: tuple[bool, object]):
+    done, value = outcome
+    if not done:
+        raise value
+    return value
+
+
+@contextmanager
+def _in_worker(fn: Callable, *args, overlap: bool = True) -> Iterator[Callable[[], object]]:
+    """Run ``fn(*args)`` in one forked worker while the ``with`` block runs.
+    The block gets a join function that returns what ``fn`` returned or
+    raises what it raised, and may be called again. A worker the block did
+    not join is killed; either way it is reaped before the block is left.
+
+    The worker sends the typecode and length of each ``array`` in the
+    result, their raw bytes, which the join reads straight into arrays, and
+    then the pickle of the rest, which it reads from the pipe as it goes.
+    Without ``os.fork``, or with ``overlap`` false, ``fn`` runs inline before
+    the block, and what it raised is still raised only at the join, so
+    callers keep one order of errors. The CLI starts no threads, so the fork
+    copies a single-threaded process."""
+    if not overlap or not hasattr(os, "fork"):
+        outcome = _outcome(fn, args)
+        yield lambda: _unpack(outcome)
+        return
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as fp, open(write_end, "wb") as out:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                # Without a read end of its own, a worker whose parent died
+                # fails its first write instead of waiting for a reader.
+                fp.close()
+                pickled = io.BytesIO()
+                pickler = _ColumnPickler(pickled)
+                pickler.dump(_outcome(fn, args))
+                pickle.dump([(column.typecode, len(column)) for column in pickler.columns], out)
+                for column in pickler.columns:
+                    column.tofile(out)
+                out.write(pickled.getbuffer())
+                out.close()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        out.close()
+        outcome = None
+
+        def join():
+            nonlocal outcome, pid
+            if outcome is None:
+                try:
+                    columns = [_read_column(fp, *shape) for shape in pickle.load(fp)]
+                    unpickler = pickle.Unpickler(fp)
+                    unpickler.persistent_load = columns.__getitem__
+                    outcome = unpickler.load()
+                except (EOFError, pickle.UnpicklingError):
+                    pass
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = 0
+                if outcome is None:
+                    outcome = False, KgelError(f"worker process exited with status {status} before sending a result")
+            return _unpack(outcome)
+
+        try:
+            yield join
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def cmd_ingest(args) -> int:
     kg = parse_kg_dir(args.kg)
     _info(f"loaded {len(kg.entities)} entities, {len(kg.relations)} relations, {len(kg.triples)} triples")
@@ -142,19 +246,32 @@ def cmd_train_scorer(args) -> int:
         raise KgelError("--dataset requires --kg to resolve gold entities")
     # train-scorer takes no --seed; its header records the default anyway
     config = {"command": "train-scorer", "seed": DEFAULT_SEED, "order": args.order}
-    # The KG and the dataset are read, and released, before counting starts;
-    # the corpus is then read as train consumes it. So their errors come
-    # before the corpus's, and counting holds a token stream, its counted
-    # runs and the model's columns, not the graph or the corpus records.
-    finetune_lines: list[str] = []
     if args.dataset:
         config.update({"dataset": args.dataset, "kg": args.kg})
-        finetune_lines = _finetune_lines(args.kg, args.dataset)
-    corpus: Iterable[str] = ()
     if args.corpus:
         config["corpus"] = args.corpus
-        corpus = corpus_targets(args.corpus)
-    model = train(chain(corpus, finetune_lines), args.order)
+    # A worker reads the KG and the dataset into the fine-tuning lines while
+    # the corpus is read here as train consumes it; the lines are consumed
+    # last. Counting thus holds a token stream, its counted runs and the
+    # model's columns, not the graph or the corpus records. A KG or dataset
+    # error comes before a corpus error, so a failed count joins the worker
+    # before it reports its own error.
+    finetuning = (
+        _in_worker(_finetune_lines, args.kg, args.dataset, overlap=bool(args.corpus))
+        if args.dataset else nullcontext(list)
+    )
+    with finetuning as finetune_lines:
+
+        def targets() -> Iterator[str]:
+            if args.corpus:
+                yield from corpus_targets(args.corpus)
+            yield from finetune_lines()
+
+        try:
+            model = train(targets(), args.order)
+        except Exception:
+            finetune_lines()
+            raise
     with _open_output(args.out) as fp:
         save_model(model, fp, config=config)
     _info(f"trained order-{model.order} model over {model.vocab_size} token vocabulary")
@@ -167,16 +284,26 @@ def cmd_link(args) -> int:
         "command": "link", "seed": DEFAULT_SEED, "beam_width": args.beam_width, "top_k": args.top_k,
         "kg": args.kg, "dataset": args.dataset,
     }
-    kg = parse_kg_dir(args.kg)
-    docs = parse_dataset(args.dataset)
     if args.model:
         config["model"] = args.model
-        model = load_model(args.model)
-        scorer_factory = lambda surface: condition_on_mention(model, surface)
-    else:
+    # A worker loads the model while the KG, the dataset and the trie are
+    # built here. It is joined after them, so their errors still come first,
+    # and before any mention is decoded, so a bad model fails the command
+    # instead of leaving every mention without candidates. build_trie is
+    # called through kgel.linking, as link_dataset calls it, so that a
+    # wrapper set on that module still sees the call.
+    loading = _in_worker(load_model, args.model) if args.model else nullcontext(lambda: None)
+    with loading as loaded_model:
+        kg = parse_kg_dir(args.kg)
+        docs = parse_dataset(args.dataset)
+        trie = linking.build_trie(kg)
+        model = loaded_model()
+    if model is None:
         uniform = UniformScorer()
         scorer_factory = lambda surface: uniform
-    predictions = link_dataset(kg, docs, scorer_factory, beam_width=args.beam_width, top_k=args.top_k)
+    else:
+        scorer_factory = lambda surface: condition_on_mention(model, surface)
+    predictions = link_dataset(kg, docs, scorer_factory, trie=trie, beam_width=args.beam_width, top_k=args.top_k)
     with _open_output(args.out) as fp:
         count = write_predictions(predictions, fp, config=config)
     failed = sum(1 for prediction in predictions if not prediction.candidates)
@@ -274,9 +401,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Nothing a subcommand builds (trie nodes, Counters, tuples, frozen
-    # dataclasses) forms a reference cycle, so the cyclic collector's passes
-    # over the millions of objects set-up allocates would free nothing. The
+    # Nothing a subcommand builds (the KG's entities and triples, parsed
+    # documents, tuples, frozen dataclasses; the trie and the model are array
+    # columns) forms a reference cycle, so the cyclic collector's passes over
+    # the millions of objects set-up allocates would free nothing. The
     # argparse parser holds the only cycles of a run, a few hundred objects.
     gc_was_enabled = gc.isenabled()
     gc.disable()

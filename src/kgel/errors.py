@@ -21,6 +21,11 @@ class LineError(KgelError):
         self.reason = reason
         super().__init__(reason if path is None else f"{self.path}:{line_no}: {reason}")
 
+    def __reduce__(self):
+        # The default rebuilds an exception from its message alone, which
+        # __init__ does not accept.
+        return type(self), (self.path, self.line_no, self.reason)
+
 
 class DuplicateEntityError(LineError):
     pass

@@ -119,12 +119,15 @@ def link_dataset(
     docs: Iterable[Document],
     scorer_factory: ScorerFactory,
     *,
+    trie: TokenTrie | None = None,
     beam_width: int = 5,
     top_k: int = 10,
 ) -> list[LinkedPrediction]:
     """Link every mention, in (document, mention) order. A mention that fails
-    to decode yields an empty candidate list instead of aborting the batch."""
-    trie = build_trie(kg)
+    to decode yields an empty candidate list instead of aborting the batch.
+    ``trie`` is ``build_trie(kg)``, built here when not given."""
+    if trie is None:
+        trie = build_trie(kg)
     predictions = []
     for doc in docs:
         for index, mention in enumerate(doc.mentions):

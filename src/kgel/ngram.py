@@ -69,7 +69,9 @@ class NGramModel:
     list of ints when keys need more than 64 bits. :func:`train` and
     :func:`load_model` fill the columns, encoding every row through
     ``_start``; ``_rows`` decodes them. ``counts`` and ``totals`` are fresh
-    dict snapshots of the rows; scoring never reads them."""
+    dict snapshots of the rows; scoring never reads them. The vocabulary is
+    interned, as every token :func:`tokenize` makes is, and a model pickles
+    as its four fields."""
 
     order: int
     tokens: tuple[str, ...]
@@ -82,9 +84,13 @@ class NGramModel:
 
     def __post_init__(self):
         base = len(self.tokens) + 1
+        object.__setattr__(self, "tokens", tuple(map(intern, self.tokens)))
         object.__setattr__(self, "vocab", frozenset(self.tokens))
         object.__setattr__(self, "_digits", {token: digit for digit, token in enumerate(self.tokens, 1)})
         object.__setattr__(self, "_scales", tuple(base ** (self.order - n) for n in range(self.order)))
+
+    def __reduce__(self):
+        return type(self), (self.order, self.tokens, self.row_keys, self.row_counts)
 
     @property
     def vocab_size(self) -> int:
@@ -393,8 +399,7 @@ def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int)
     columns: the ``()`` rows, which make the vocabulary, then keys in
     ascending order. None at the first row that is out of that order, names
     a token with no vocabulary row before it or holds a count too wide for
-    the count column: :func:`_load_unordered` reads such a file. Only the
-    vocabulary's tokens are kept, so only they are interned."""
+    the count column: :func:`_load_unordered` reads such a file."""
     tokens: list[str] = []
     counts: list[int] = []
     row = None
@@ -406,7 +411,7 @@ def _load_rows(rows: Iterator[tuple[int, str, str, int]], src: Path, order: int)
             if token == tokens[-1]:
                 raise _duplicate(src, row[0], context_field, token)
             return None
-        tokens.append(intern(token))
+        tokens.append(token)
         counts.append(count)
     else:
         row = None
@@ -454,7 +459,7 @@ def _load_unordered(rows: Callable[[], Iterator[tuple[int, str, str, int]]], src
         if not context_field:
             vocab.add(token)
         top = max(top, count)
-    tokens = tuple(sorted(map(intern, vocab)))
+    tokens = tuple(sorted(vocab))
     del vocab
     shape = NGramModel(order, tokens, (), ())
     start_of, digits = shape._start, shape._digits

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 import weakref
 from collections.abc import Iterator
 from pathlib import Path
@@ -18,7 +19,8 @@ import kgel
 import kgel.cli
 from kgel.cli import main
 from kgel.ingest import parse_dataset, parse_kg_dir, write_dataset, write_kg_dir
-from kgel.ngram import finetune_targets, save_model, train
+from kgel.linking import write_predictions
+from kgel.ngram import condition_on_mention, finetune_targets, save_model, train
 from kgel.synthesis import corpus_targets
 
 
@@ -377,8 +379,10 @@ class TestOutput:
 
 
 class TestTrainScorerStreaming:
-    """``train-scorer`` reads the KG and the dataset first and frees them, then
-    streams the corpus into ``train``."""
+    """``train-scorer`` streams the corpus into ``train`` while a worker reads
+    the KG and the dataset into the fine-tuning lines, which ``train`` gets
+    last. Without ``os.fork`` the KG and the dataset are read, and freed,
+    first."""
 
     @pytest.fixture
     def corpus(self, capsys, tmp_path):
@@ -391,14 +395,18 @@ class TestTrainScorerStreaming:
                 "--out", str(out)]
 
     @pytest.fixture
-    def train_calls(self, monkeypatch):
+    def train_calls(self, monkeypatch, tmp_path):
         """What ``train`` is called with, and whether each KG that
-        ``parse_kg_dir`` returned is still alive at that call."""
+        ``parse_kg_dir`` returned in this process is still alive at that
+        call. The pid of every process that parses a KG is appended to
+        ``parse_pids`` in ``tmp_path``."""
         kg_refs, calls = [], []
 
         def parse_and_watch(path):
             kg = parse_kg_dir(path)
             kg_refs.append(weakref.ref(kg))
+            with open(tmp_path / "parse_pids", "a", encoding="utf-8") as fp:
+                fp.write(f"{os.getpid()}\n")
             return kg
 
         def train_and_watch(targets, order):
@@ -410,6 +418,17 @@ class TestTrainScorerStreaming:
         return kg_refs, calls
 
     def test_kg_is_freed_before_train_is_called(self, capsys, tmp_path, corpus, train_calls):
+        kg_refs, calls = train_calls
+        assert run(capsys, *self.argv(corpus, tmp_path / "m.tsv"))[0] == 0
+        parse_pids = [int(pid) for pid in (tmp_path / "parse_pids").read_text(encoding="utf-8").split()]
+        assert len(parse_pids) == 1
+        if hasattr(os, "fork"):
+            # Parsed in the worker: this process never holds the KG.
+            assert parse_pids[0] != os.getpid() and kg_refs == []
+        assert [call["live_kgs"] for call in calls] == [0]
+
+    def test_kg_is_freed_before_train_is_called_without_fork(self, capsys, tmp_path, corpus, train_calls, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
         kg_refs, calls = train_calls
         assert run(capsys, *self.argv(corpus, tmp_path / "m.tsv"))[0] == 0
         assert len(kg_refs) == 1
@@ -456,6 +475,138 @@ class TestTrainScorerStreaming:
             assert out.read_bytes() == TestOutput.STALE
         else:
             assert not out.exists()
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorker:
+    """``link`` loads the model, and ``train-scorer`` builds the fine-tuning
+    lines, in a forked worker, or inline without ``os.fork``. Either way the
+    first error is the one a serial run meets first: KG, then dataset, then
+    model, and KG or dataset before corpus. No process outlives a command."""
+
+    @pytest.fixture(params=["fork", "inline"])
+    def mode(self, request, monkeypatch):
+        if request.param == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        elif not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        return request.param
+
+    @pytest.fixture
+    def paths(self, capsys, tmp_path):
+        """A toy KG, dataset, empty dataset, model and corpus, each next to a
+        broken copy (``bad_*``) and a missing model."""
+        paths = {
+            "kg": TOY_KG_DIR, "dataset": TOY_DATASET, "empty": tmp_path / "empty.jsonl",
+            "model": tmp_path / "model.tsv", "corpus": tmp_path / "corpus.jsonl",
+            "bad_kg": tmp_path / "kg", "bad_dataset": tmp_path / "d.jsonl", "bad_model": tmp_path / "bad.tsv",
+            "bad_corpus": tmp_path / "c.jsonl", "missing_model": tmp_path / "nowhere.tsv",
+        }
+        paths["empty"].write_text("", encoding="utf-8")
+        argv = ["train-scorer", "--dataset", str(TOY_DATASET), "--kg", str(TOY_KG_DIR), "--out", str(paths["model"])]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "synthesize", "--kg", str(TOY_KG_DIR), "--out", str(paths["corpus"]))[0] == 0
+        shutil.copytree(TOY_KG_DIR, paths["bad_kg"])
+        with open(paths["bad_kg"] / "concepts.tsv", "a", encoding="utf-8") as fp:
+            fp.write("C0001\tagain\n")
+        paths["bad_dataset"].write_text("not json\n", encoding="utf-8")
+        paths["bad_model"].write_text("kgel-ngram-v1\n3\n1\n\ta\tmany\n", encoding="utf-8")
+        paths["bad_corpus"].write_text("not json\n", encoding="utf-8")
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize(
+        "kg, dataset, model, expected",
+        [
+            ("bad_kg", "dataset", "bad_model", "{bad_kg}/concepts.tsv:6: duplicate concept id"),
+            ("kg", "bad_dataset", "bad_model", "{bad_dataset}:1: invalid JSON"),
+            ("kg", "empty", "bad_model", "{bad_model}:4: bad count"),
+            ("kg", "empty", "missing_model", "No such file or directory: '{missing_model}'"),
+        ],
+        ids=["kg_before_model", "dataset_before_model", "model", "missing_model"],
+    )
+    def test_link_reports_the_first_error(self, capsys, tmp_path, mode, paths, kg, dataset, model, expected):
+        out = tmp_path / "p.jsonl"
+        argv = ["link", "--kg", paths[kg], "--dataset", paths[dataset], "--model", paths[model], "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("error") == 1 and expected.format(**paths) in err
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "kg, dataset, expected",
+        [
+            ("bad_kg", "dataset", "{bad_kg}/concepts.tsv:6: duplicate concept id"),
+            ("kg", "bad_dataset", "{bad_dataset}:1: invalid JSON"),
+        ],
+        ids=["kg_before_corpus", "dataset_before_corpus"],
+    )
+    def test_train_scorer_reports_the_first_error(self, capsys, tmp_path, mode, paths, kg, dataset, expected):
+        out = tmp_path / "m.tsv"
+        argv = ["train-scorer", "--corpus", paths["bad_corpus"], "--dataset", paths[dataset], "--kg", paths[kg],
+                "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert expected.format(**paths) in err and paths["bad_corpus"] not in err
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_link_writes_what_an_in_process_run_writes(self, capsys, tmp_path, mode, paths):
+        out = tmp_path / "p.jsonl"
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        assert_no_child_left()
+        model = kgel.load_model(paths["model"])
+        predictions = kgel.link_dataset(
+            parse_kg_dir(paths["kg"]), parse_dataset(paths["dataset"]), lambda m: condition_on_mention(model, m)
+        )
+        expected = io.StringIO()
+        write_predictions(predictions, expected)
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == expected.getvalue().splitlines()
+
+    def test_train_scorer_succeeds_without_leaving_a_child(self, capsys, tmp_path, mode, paths):
+        argv = ["train-scorer", "--corpus", paths["corpus"], "--dataset", paths["dataset"], "--kg", paths["kg"]]
+        assert run(capsys, *argv, "--out", str(tmp_path / "m.tsv"))[0] == 0
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_worker_that_dies_without_a_result_exits_2(self, capsys, tmp_path, monkeypatch, paths):
+        monkeypatch.setattr(kgel.cli, "load_model", lambda path: os._exit(1))
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["empty"], "--model", paths["model"]]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "p.jsonl"))
+        assert code == 2
+        assert "worker process exited with status 1 before sending a result" in err
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_interrupt_kills_the_worker(self, capsys, tmp_path, monkeypatch, paths):
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(kgel.cli, "load_model", lambda path: time.sleep(60))
+        monkeypatch.setattr(kgel.cli, "parse_dataset", interrupt)
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--out", str(tmp_path / "p.jsonl")])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    @pytest.mark.parametrize("order", [3, 30], ids=["array_keys", "list_keys"])
+    def test_model_columns_cross_the_pipe(self, tmp_path, order):
+        model = train(["[BOS] a b c a b [EOS]", "[BOS] b c a [EOS]"], order)
+        assert (type(model.row_keys) is list) == (order == 30)
+        with kgel.cli._in_worker(lambda: model) as joined:
+            again = joined()
+        assert_no_child_left()
+        assert again == model
+        assert type(again.row_keys) is type(model.row_keys) and type(again.row_counts) is type(model.row_counts)
+        assert getattr(again.row_keys, "typecode", None) == getattr(model.row_keys, "typecode", None)
 
 
 class TestPipeline:

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -473,6 +474,12 @@ class TestSharedTokens:
         with open(path, "w", encoding="utf-8") as fp:
             save_model(train(surface_lines(toy_kg), order=3), fp)
         assert all(token is sys.intern(token) for token in model_tokens(load_model(path)))
+
+    def test_unpickled_model_interns_every_token(self, toy_kg):
+        model = train(surface_lines(toy_kg), order=3)
+        again = pickle.loads(pickle.dumps(model))
+        assert again == model
+        assert all(token is sys.intern(token) for token in model_tokens(again))
 
 
 class TestModelIO:
