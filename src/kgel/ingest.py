@@ -39,7 +39,7 @@ from .errors import (
     OverlappingMentionsError,
     SpanOutOfBoundsError,
 )
-from .kg import Entity, KnowledgeGraph, Relation, Triple, _check_definition, _unchecked, _unique_synonyms, build_kg
+from .kg import Entity, KnowledgeGraph, Relation, Triple, _assemble, _unchecked, _unique_synonyms
 
 REQUIRED_KG_FILES = ("concepts.tsv", "synonyms.tsv", "relations.tsv", "triples.tsv")
 KG_TSV_FORMAT = "kgel-kg-tsv-v1"
@@ -160,7 +160,8 @@ def _split(path: Path, line_no: int, line: str, n_fields: int, *, greedy_last: b
 def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     """Parse a KG directory into a validated :class:`KnowledgeGraph`.
 
-    Reference errors carry the file and line they were detected on.
+    This is the one check of a graph read from disk: each rule runs once, at
+    the line it concerns, and every error carries that file and line.
     """
     base = Path(path)
     if not base.is_dir():
@@ -169,26 +170,25 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
         if not (base / name).is_file():
             raise MissingFileError(f"missing {name} in {base}")
 
+    # Each concept's preferred name, until its entity takes the slot below.
     concepts_path = base / "concepts.tsv"
-    names: dict[str, str] = {}
-    concept_lines: dict[str, int] = {}
-    # Each concept id maps to itself, so that triples hold the entity's own
-    # id string instead of a copy per line.
-    ids: dict[str, str] = {}
+    entities: dict = {}
     for line_no, line in _lines(concepts_path):
         cui, name = _split(concepts_path, line_no, line, 2)
-        if cui in names:
+        if cui in entities:
             raise DuplicateEntityError(concepts_path, line_no, f"duplicate concept id {cui!r}")
-        names[cui] = name
-        concept_lines[cui] = line_no
-        ids[cui] = cui
+        if name.isspace():
+            raise MalformedLineError(concepts_path, line_no, f"preferred name {name!r} of {cui!r} has no tokens")
+        entities[cui] = name
 
     synonyms_path = base / "synonyms.tsv"
     synonyms: dict[str, list[str]] = {}
     for line_no, line in _lines(synonyms_path):
         cui, synonym = _split(synonyms_path, line_no, line, 2)
-        if cui not in names:
+        if cui not in entities:
             raise DanglingEntityError(synonyms_path, line_no, f"unknown concept id {cui!r}")
+        if synonym.isspace():
+            raise MalformedLineError(synonyms_path, line_no, f"synonym {synonym!r} of {cui!r} has no tokens")
         synonyms.setdefault(cui, []).append(synonym)
 
     definitions: dict[str, str] = {}
@@ -196,14 +196,19 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
     if definitions_path.is_file():
         for line_no, line in _lines(definitions_path):
             cui, definition = _split(definitions_path, line_no, line, 2, greedy_last=True)
-            if cui not in names:
+            if cui not in entities:
                 raise DanglingEntityError(definitions_path, line_no, f"unknown concept id {cui!r}")
             if cui in definitions:
                 raise MalformedLineError(definitions_path, line_no, f"duplicate definition for {cui!r}")
             definitions[cui] = definition
 
-    # _split leaves every field non-empty and tab-free, and no line holds a
-    # "\n" or "\r", so relations and triples pass their checks already.
+    # _split leaves every field non-empty and tab- and newline-free, so
+    # entities, relations and triples are built without their constructors'
+    # checks, entities as Entity.make builds them.
+    for cui, name in entities.items():
+        entities[cui] = _unchecked(Entity, cui, name, _unique_synonyms(name, synonyms.pop(cui, ())), definitions.get(cui))
+    del synonyms, definitions
+
     relations_path = base / "relations.tsv"
     relations: dict[str, Relation] = {}
     for line_no, line in _lines(relations_path):
@@ -212,31 +217,22 @@ def parse_kg_dir(path: str | Path) -> KnowledgeGraph:
             raise DuplicateRelationError(relations_path, line_no, f"duplicate relation id {rid!r}")
         relations[rid] = _unchecked(Relation, rid, label)
 
+    # Triples hold their entities' and relation's own id objects, not a
+    # string per field.
     triples_path = base / "triples.tsv"
     triples: list[Triple] = []
     for line_no, line in _lines(triples_path):
         head, rid, tail = _split(triples_path, line_no, line, 3)
-        head_id, relation, tail_id = ids.get(head), relations.get(rid), ids.get(tail)
-        if head_id is None:
+        head_entity, relation, tail_entity = entities.get(head), relations.get(rid), entities.get(tail)
+        if head_entity is None:
             raise DanglingEntityError(triples_path, line_no, f"unknown head concept {head!r}")
-        if tail_id is None:
+        if tail_entity is None:
             raise DanglingEntityError(triples_path, line_no, f"unknown tail concept {tail!r}")
         if relation is None:
             raise DanglingRelationError(triples_path, line_no, f"unknown relation {rid!r}")
-        triples.append(_unchecked(Triple, head_id, relation.id, tail_id))
+        triples.append(_unchecked(Triple, head_entity.id, relation.id, tail_entity.id))
 
-    # The ids, names and synonyms are _split fields as well, so entities are
-    # built as Entity.make builds them, without its field checks.
-    entities = []
-    for cui, name in names.items():
-        definition = definitions.get(cui)
-        try:
-            _check_definition(cui, definition)
-        except ValueError as exc:
-            raise MalformedLineError(concepts_path, concept_lines[cui], f"invalid concept {cui!r}: {exc}") from exc
-        entities.append(_unchecked(Entity, cui, name, _unique_synonyms(name, synonyms.get(cui, ())), definition))
-
-    return build_kg(entities, relations.values(), triples)
+    return _assemble(entities, relations, triples)
 
 
 def write_kg_dir(kg: KnowledgeGraph, path: str | Path) -> None:

@@ -40,15 +40,6 @@ def _unchecked(cls, *values):
     return obj
 
 
-def _check_surface(value: str, what: str) -> None:
-    _check_id(value, what)
-
-
-def _check_definition(entity_id: EntityId, definition: str | None) -> None:
-    if definition is not None and "\n" in definition:
-        raise ValueError(f"entity {entity_id}: definition contains a newline")
-
-
 @dataclass(frozen=True)
 class Entity:
     """A concept with its surface forms.
@@ -64,17 +55,18 @@ class Entity:
 
     def __post_init__(self):
         _check_id(self.id, "entity id")
-        _check_surface(self.preferred_name, "preferred name")
+        _check_id(self.preferred_name, "preferred name")
         if not self.synonyms or self.synonyms[0] != self.preferred_name:
             raise ValueError(f"entity {self.id}: synonyms[0] must equal the preferred name")
         seen = set()
         for syn in self.synonyms:
-            _check_surface(syn, f"synonym of {self.id}")
+            _check_id(syn, f"synonym of {self.id}")
             key = normalize(syn)
             if key in seen:
                 raise ValueError(f"entity {self.id}: duplicate synonym {syn!r} after normalization")
             seen.add(key)
-        _check_definition(self.id, self.definition)
+        if self.definition is not None and "\n" in self.definition:
+            raise ValueError(f"entity {self.id}: definition contains a newline")
 
     @classmethod
     def make(
@@ -85,19 +77,8 @@ class Entity:
         definition: str | None = None,
     ) -> "Entity":
         """Build an entity, putting the preferred name first and dropping
-        synonyms that are duplicates after normalization (first wins).
-
-        It rejects what direct construction rejects, with the same error, in
-        one pass: the preferred name is first and no two kept synonyms
-        normalize alike by construction, so those checks are not repeated."""
-        ordered = _unique_synonyms(preferred_name, synonyms)
-        definition = definition or None
-        _check_id(id, "entity id")
-        _check_surface(preferred_name, "preferred name")
-        for syn in ordered[1:]:
-            _check_surface(syn, f"synonym of {id}")
-        _check_definition(id, definition)
-        return _unchecked(cls, id, preferred_name, ordered, definition)
+        synonyms that are duplicates after normalization (first wins)."""
+        return cls(id, preferred_name, _unique_synonyms(preferred_name, synonyms), definition or None)
 
 
 def _unique_synonyms(preferred_name: str, synonyms: Iterable[str]) -> tuple[str, ...]:
@@ -122,7 +103,7 @@ class Relation:
 
     def __post_init__(self):
         _check_id(self.id, "relation id")
-        _check_surface(self.label, "relation label")
+        _check_id(self.label, "relation label")
 
 
 @dataclass(frozen=True)
@@ -174,8 +155,6 @@ def build_kg(
         relation_map[relation.id] = relation
 
     triple_list: list[Triple] = []
-    outgoing: dict[str, list[Triple]] = {}
-    freq = {rid: 0 for rid in relation_map}
     for triple in triples:
         if triple.head not in entity_map:
             raise DanglingEntityError(None, None, f"triple {triple} references unknown entity {triple.head!r}")
@@ -184,16 +163,25 @@ def build_kg(
         if triple.relation not in relation_map:
             raise DanglingRelationError(None, None, f"triple {triple} references unknown relation {triple.relation!r}")
         triple_list.append(triple)
+    return _assemble(entity_map, relation_map, triple_list)
+
+
+def _assemble(
+    entities: dict[EntityId, Entity], relations: dict[str, Relation], triples: list[Triple]
+) -> KnowledgeGraph:
+    """The graph of parts already checked, with its derived indexes:
+    ``outgoing`` holds each head's triples in triple order, heads in order
+    of first appearance, and ``relation_freq`` counts the triples of each
+    relation, in relation order. Each head's list becomes a tuple in place,
+    so no second copy of the index is alive at once."""
+    outgoing: dict[EntityId, list[Triple] | tuple[Triple, ...]] = {}
+    freq = dict.fromkeys(relations, 0)
+    for triple in triples:
         outgoing.setdefault(triple.head, []).append(triple)
         freq[triple.relation] += 1
-
-    return KnowledgeGraph(
-        entities=entity_map,
-        relations=relation_map,
-        triples=tuple(triple_list),
-        outgoing={eid: tuple(ts) for eid, ts in outgoing.items()},
-        relation_freq=freq,
-    )
+    for head, group in outgoing.items():
+        outgoing[head] = tuple(group)
+    return KnowledgeGraph(entities, relations, tuple(triples), outgoing, freq)
 
 
 @dataclass(frozen=True)

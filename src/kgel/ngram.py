@@ -79,15 +79,11 @@ class NGramModel:
     row_counts: Sequence[int] = field(repr=False)
     vocab: frozenset[str] = field(init=False, repr=False, compare=False)
     _digits: dict[str, int] = field(init=False, repr=False, compare=False)
-    # _scales[n] is the place value of the last digit of an n-token context.
-    _scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        base = len(self.tokens) + 1
         object.__setattr__(self, "tokens", tuple(map(intern, self.tokens)))
         object.__setattr__(self, "vocab", frozenset(self.tokens))
         object.__setattr__(self, "_digits", {token: digit for digit, token in enumerate(self.tokens, 1)})
-        object.__setattr__(self, "_scales", tuple(base ** (self.order - n) for n in range(self.order)))
 
     def __reduce__(self):
         return type(self), (self.order, self.tokens, self.row_keys, self.row_counts)
@@ -140,7 +136,9 @@ class NGramModel:
             if digit is None:
                 return None
             start = start * base + digit
-        return start * self._scales[len(context)]
+        # Made per call: a table of every context length's place value would
+        # grow with the square of the order.
+        return start * base ** (self.order - len(context))
 
     def score_next(self, prefix: Sequence[str], candidates: set[str]) -> dict[str, float]:
         """Add-one smoothed log P(token | last order-1 prefix tokens). An
@@ -196,9 +194,12 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
         raise ValueError("order must be >= 1")
     ids: defaultdict[str, int] = defaultdict(count(1).__next__)
     stream = array("H")
+    # No window is wider than the longest line.
+    longest = 0
     for line in targets:
         tokens = tokenize(line)
         if tokens:
+            longest = max(longest, len(tokens))
             end = len(stream)
             try:
                 stream.extend(map(ids.__getitem__, tokens))
@@ -223,21 +224,21 @@ def train(targets: Iterable[str], order: int = DEFAULT_ORDER) -> NGramModel:
     keys = _column(base ** order)
     # No count exceeds the number of tokens.
     values = _column(len(stream) + 1)
-    runs = _count_runs(chain.from_iterable(_window_keys(stream, base, order)), keys)
+    runs = _count_runs(chain.from_iterable(_window_keys(stream, base, order, min(order, longest))), keys)
     del stream
     _merge_runs(runs, keys, values)
     return NGramModel(order, vocab, keys, values)
 
 
-def _window_keys(stream: Sequence[int], base: int, order: int) -> Iterator[Iterator[int]]:
-    """For each window width from 1 to ``order``, the keys of the windows of
+def _window_keys(stream: Sequence[int], base: int, order: int, widest: int) -> Iterator[Iterator[int]]:
+    """For each window width from 1 to ``widest``, the keys of the windows of
     ``stream`` that hold no 0, in stream order and in pieces of up to
     ``_RUN_KEYS`` windows, each made once the one before is used up. A
     window's key has the digits of its first ``width - 1`` tokens in the
     leading places of an ``order``-place number in ``base``, and its last
     token's digit in the last place."""
     yield filter(None, stream)
-    for width in range(2, order + 1):
+    for width in range(2, widest + 1):
         for start in range(0, len(stream) - width + 1, _RUN_KEYS):
             part = stream[start:start + _RUN_KEYS + width - 1]
             keys = map(mul, part, repeat(base ** (order - 1)))

@@ -98,6 +98,26 @@ class TestTopLevel:
         assert code == 2
         assert f"{bad}:2: invalid UTF-8 byte 0xfe" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "synthesize"])
+    @pytest.mark.parametrize(
+        "name, what, surface",
+        [("concepts.tsv", "preferred name", " "), ("synonyms.tsv", "synonym", " "), ("synonyms.tsv", "synonym", "\u3000\x1c")],
+        ids=["name", "synonym", "unicode_spaces"],
+    )
+    def test_surface_without_tokens_exits_2_with_file_and_line(self, capsys, tmp_path, command, name, what, surface):
+        """A surface of whitespace alone would become an empty template or
+        trie path; the KG reader rejects it at its line, before any stage
+        uses it."""
+        kg_dir = tmp_path / "kg"
+        write_kg_dir(build_linkbench(3)[0], kg_dir)
+        bad = kg_dir / name
+        bad.write_text(f"C1000\tfirst\nC1001\t{surface}\n", encoding="utf-8")
+        argv = {"ingest": ["ingest"], "synthesize": ["synthesize", "--mode", "synonym", "--out", str(tmp_path / "c.jsonl")]}
+        code, _, err = run(capsys, *argv[command], "--kg", str(kg_dir))
+        assert code == 2
+        assert f"{bad}:2: {what} {surface!r} of 'C1001' has no tokens" in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     @pytest.mark.parametrize(
         "command, line",
         [

@@ -1,11 +1,14 @@
 import json
+import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TOY_DATASET, TOY_KG_DIR
 
-import kgel.ingest
 from kgel.errors import (
     DanglingEntityError,
     DanglingRelationError,
@@ -19,6 +22,9 @@ from kgel.errors import (
     SpanOutOfBoundsError,
 )
 from kgel.ingest import (
+    REQUIRED_KG_FILES,
+    _lines,
+    _split,
     dataset_stats,
     decode_json_line,
     header_line,
@@ -28,7 +34,8 @@ from kgel.ingest import (
     write_dataset,
     write_kg_dir,
 )
-from kgel.kg import Entity, Relation, Triple, build_kg
+from kgel.kg import Entity, KnowledgeGraph, Relation, Triple, build_kg
+from kgel.text import tokenize
 
 
 def write_kg_files(path, concepts="", synonyms="", relations="", triples="", definitions=None):
@@ -109,24 +116,6 @@ class TestParseKgDir:
         write_kg_files(tmp_path, concepts="C1\ta\n", definitions="C1\tx\nC1\ty\n")
         with pytest.raises(MalformedLineError):
             parse_kg_dir(tmp_path)
-
-    def test_invalid_concept_reports_its_line(self, tmp_path, monkeypatch):
-        # No TSV line reaches the one entity check parse_kg_dir runs, the
-        # definition check (the reader already splits on every character it
-        # refuses), so inject a rejection there.
-        check = kgel.ingest._check_definition
-
-        def failing(id, definition):
-            if id == "C2":
-                raise ValueError("rejected")
-            check(id, definition)
-
-        monkeypatch.setattr(kgel.ingest, "_check_definition", failing)
-        write_kg_files(tmp_path, concepts="C1\ta\nC2\tb\nC3\tc\n")
-        with pytest.raises(MalformedLineError) as exc:
-            parse_kg_dir(tmp_path)
-        assert exc.value.line_no == 2
-        assert "concepts.tsv:2: invalid concept 'C2'" in str(exc.value)
 
     @pytest.mark.parametrize("name", sorted(VALID_KG_BYTES))
     def test_invalid_utf8_reports_file_and_line(self, tmp_path, name):
@@ -214,6 +203,214 @@ class TestKgRoundTrip:
         )
         write_kg_dir(kg, tmp_path / "kg")
         self.kg_equal(parse_kg_dir(tmp_path / "kg"), kg)
+
+
+def reference_build_kg(entities, relations, triples):
+    """``build_kg`` as ``parse_kg_dir`` once called it: every id and triple
+    checked again, then the triples grouped by head and counted per
+    relation."""
+    entity_map = {}
+    for entity in entities:
+        if entity.id in entity_map:
+            raise DuplicateEntityError(None, None, f"duplicate entity id {entity.id!r}")
+        entity_map[entity.id] = entity
+    relation_map = {}
+    for relation in relations:
+        if relation.id in relation_map:
+            raise DuplicateRelationError(None, None, f"duplicate relation id {relation.id!r}")
+        relation_map[relation.id] = relation
+    outgoing = {}
+    freq = {rid: 0 for rid in relation_map}
+    for triple in triples:
+        for eid in (triple.head, triple.tail):
+            if eid not in entity_map:
+                raise DanglingEntityError(None, None, f"triple {triple} references unknown entity {eid!r}")
+        if triple.relation not in relation_map:
+            raise DanglingRelationError(None, None, f"triple {triple} references unknown relation {triple.relation!r}")
+        outgoing.setdefault(triple.head, []).append(triple)
+        freq[triple.relation] += 1
+    return KnowledgeGraph(
+        entity_map, relation_map, tuple(triples), {eid: tuple(ts) for eid, ts in outgoing.items()}, freq
+    )
+
+
+def reference_parse_kg_dir(path):
+    """``parse_kg_dir`` as it was before it assembled the graph in its one
+    pass: each file checked line by line into side tables, then the parts
+    built with every constructor check and handed to ``build_kg``."""
+    base = Path(path)
+    if not base.is_dir():
+        raise MissingFileError(f"KG directory not found: {base}")
+    for name in REQUIRED_KG_FILES:
+        if not (base / name).is_file():
+            raise MissingFileError(f"missing {name} in {base}")
+    names = {}
+    src = base / "concepts.tsv"
+    for line_no, line in _lines(src):
+        cui, name = _split(src, line_no, line, 2)
+        if cui in names:
+            raise DuplicateEntityError(src, line_no, f"duplicate concept id {cui!r}")
+        names[cui] = name
+    synonyms = {}
+    src = base / "synonyms.tsv"
+    for line_no, line in _lines(src):
+        cui, synonym = _split(src, line_no, line, 2)
+        if cui not in names:
+            raise DanglingEntityError(src, line_no, f"unknown concept id {cui!r}")
+        synonyms.setdefault(cui, []).append(synonym)
+    definitions = {}
+    src = base / "definitions.tsv"
+    if src.is_file():
+        for line_no, line in _lines(src):
+            cui, definition = _split(src, line_no, line, 2, greedy_last=True)
+            if cui not in names:
+                raise DanglingEntityError(src, line_no, f"unknown concept id {cui!r}")
+            if cui in definitions:
+                raise MalformedLineError(src, line_no, f"duplicate definition for {cui!r}")
+            definitions[cui] = definition
+    relations = {}
+    src = base / "relations.tsv"
+    for line_no, line in _lines(src):
+        rid, label = _split(src, line_no, line, 2)
+        if rid in relations:
+            raise DuplicateRelationError(src, line_no, f"duplicate relation id {rid!r}")
+        relations[rid] = Relation(rid, label)
+    triples = []
+    src = base / "triples.tsv"
+    for line_no, line in _lines(src):
+        head, rid, tail = _split(src, line_no, line, 3)
+        if head not in names:
+            raise DanglingEntityError(src, line_no, f"unknown head concept {head!r}")
+        if tail not in names:
+            raise DanglingEntityError(src, line_no, f"unknown tail concept {tail!r}")
+        if rid not in relations:
+            raise DanglingRelationError(src, line_no, f"unknown relation {rid!r}")
+        triples.append(Triple(head, rid, tail))
+    entities = [Entity.make(cui, name, synonyms.get(cui, ()), definitions.get(cui)) for cui, name in names.items()]
+    return reference_build_kg(entities, relations.values(), triples)
+
+
+def parse_outcome(parse, path):
+    """The graph ``parse`` reads from ``path``, as lists that keep every
+    mapping's order, or the first error's class and location."""
+    try:
+        kg = parse(path)
+    except LineError as exc:
+        return type(exc), exc.path, exc.line_no, exc.reason
+    except MissingFileError as exc:
+        return type(exc), str(exc)
+    return (
+        list(kg.entities.items()),
+        list(kg.relations.items()),
+        kg.triples,
+        list(kg.outgoing.items()),
+        list(kg.relation_freq.items()),
+    )
+
+
+# A valid graph over small id pools, then up to three faults: a field
+# replaced by an empty one, by one with a tab (a field too many), a "\r" or
+# "\n" (the line ends early), or by an id that is unknown or already taken,
+# and a line repeated. The definitions file may be missing. No surface is
+# whitespace alone, which only the one pass rejects.
+SURFACES = st.sampled_from(["a", "A", "b c", "B  C", "d e"])
+FAULTS = st.sampled_from(["", "x\ty", "x\ry", "x\ny", "C1", "C9", "r", "q"])
+
+
+@st.composite
+def kg_files(draw):
+    cuis = draw(st.lists(st.sampled_from(["C1", "C2", "C3", "C4"]), min_size=1, unique=True))
+    rids = draw(st.lists(st.sampled_from(["r", "s", "t"]), min_size=1, unique=True))
+    cui = st.sampled_from(cuis)
+    rows = {
+        "concepts.tsv": [[c, draw(SURFACES)] for c in cuis],
+        "synonyms.tsv": draw(st.lists(st.tuples(cui, SURFACES).map(list), max_size=4)),
+        "definitions.tsv": [[c, draw(st.sampled_from(["def", "two\tparts"]))] for c in draw(st.lists(cui, unique=True))],
+        "relations.tsv": [[r, draw(SURFACES)] for r in rids],
+        "triples.tsv": draw(st.lists(st.tuples(cui, st.sampled_from(rids), cui).map(list), max_size=6)),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        lines = rows[draw(st.sampled_from(sorted(rows)))]
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+            else:
+                lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(FAULTS)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    files = {name: "".join("\t".join(fields) + end for fields in lines) for name, lines in rows.items()}
+    if draw(st.booleans()):
+        files["definitions.tsv"] = None
+    return files
+
+
+class TestOnePass:
+    """``parse_kg_dir`` checks and assembles the graph in one pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(files=kg_files())
+    def test_same_graph_or_first_error_as_the_reference(self, tmp_path_factory, files):
+        path = tmp_path_factory.mktemp("kg")
+        for name, text in files.items():
+            if text is not None:
+                (path / name).write_bytes(text.encode("utf-8"))
+        expected = parse_outcome(reference_parse_kg_dir, path)
+        assert parse_outcome(parse_kg_dir, path) == expected
+        if isinstance(expected[0], list):
+            kg = reference_parse_kg_dir(path)
+            rebuilt = build_kg(kg.entities.values(), kg.relations.values(), kg.triples)
+            assert parse_outcome(lambda _: rebuilt, path) == expected
+
+    @pytest.mark.parametrize("end", ["\r", "\n", "\r\n"])
+    def test_line_end_inside_a_definition_splits_the_line(self, tmp_path, end):
+        """A definition never holds a line end: the reader ends the line
+        there, and the rest is the next line, checked on its own."""
+        write_kg_files(tmp_path, concepts="C1\ta\nC2\tb\n", definitions=f"C1\tfirst{end}second half\n")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_kg_dir(tmp_path)
+        assert (exc.value.path, exc.value.line_no) == (str(tmp_path / "definitions.tsv"), 2)
+        assert exc.value.reason == "expected 2 tab-separated fields, got 1"
+        write_kg_files(tmp_path, concepts="C1\ta\nC2\tb\n", definitions=f"C1\tfirst{end}C2\tsecond\n")
+        kg = parse_kg_dir(tmp_path)
+        assert (kg.entities["C1"].definition, kg.entities["C2"].definition) == ("first", "second")
+
+    def test_isspace_is_exactly_no_tokens(self):
+        """The reader rejects a surface with ``str.isspace``, which costs no
+        split: for every character, it holds exactly when ``tokenize`` finds
+        no token, so it does for every non-empty field."""
+        differ = [
+            hex(code) for code in range(sys.maxunicode + 1)
+            if not 0xD800 <= code < 0xE000 and chr(code).isspace() != (tokenize(chr(code)) == [])
+        ]
+        assert differ == []
+
+    def test_peak_stays_near_what_the_graph_keeps(self, tmp_path):
+        """Parsing peaks at most 30% above the graph it returns: the side
+        tables and per-head triple lists are freed as the graph is built,
+        not held beside it."""
+        rng = random.Random(22)
+        words = [f"w{i}" for i in range(3000)]
+        n = 5000
+
+        def surface():
+            return " ".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+
+        write_kg_files(
+            tmp_path,
+            concepts="".join(f"C{i}\t{surface()}\n" for i in range(n)),
+            synonyms="".join(f"C{rng.randrange(n)}\t{surface()}\n" for _ in range(n)),
+            definitions="".join(f"C{i}\tthe {surface()} of {surface()}\n" for i in range(n)),
+            relations="".join(f"r{i}\trelation {i}\n" for i in range(40)),
+            triples="".join(f"C{rng.randrange(n)}\tr{rng.randrange(40)}\tC{rng.randrange(n)}\n" for _ in range(n)),
+        )
+        tracemalloc.start()
+        try:
+            kg = parse_kg_dir(tmp_path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kg.triples) == n
+        assert peak <= 1.3 * retained
 
 
 def doc_line(doc_id="d1", text="ab cd", mentions=None):

@@ -48,8 +48,8 @@ class TestEntity:
 
 
 def reference_make(id, preferred_name, synonyms=(), definition=None):
-    """``Entity.make`` as it was before it validated in one pass: drop the
-    duplicates, then construct with every check of ``__post_init__``."""
+    """``Entity.make`` written out: drop the duplicates, then construct with
+    every check of ``__post_init__``."""
     ordered = [preferred_name]
     seen = {normalize(preferred_name)}
     for syn in synonyms:

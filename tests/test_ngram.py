@@ -223,6 +223,18 @@ class TestRunMerge:
         assert model.counts[()]["x"] == 1
         assert ("x",) not in model.counts and model.counts[("y",)] == {"z": 1}
 
+    def test_order_far_above_the_longest_line(self):
+        """No window is wider than the longest line, so widths past it are
+        never cut into pieces: lines of at most four tokens at order 40 mask
+        windows of widths 2 to 4 only."""
+        lines = ["a b c d", "b c", "d", "c a b"]
+        widths = []
+        whole_windows = ngram._whole_windows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ngram, "_whole_windows", lambda part, width: widths.append(width) or whole_windows(part, width))
+            assert_trains_like_reference(lines, 40)
+        assert widths == [2, 3, 4]
+
     def test_vocabulary_past_two_byte_ids(self):
         """70,000 distinct tokens: the 65,536th arrives inside a line, so the
         token id stream is widened there and the line is read again."""
@@ -776,6 +788,23 @@ class TestLayout:
             tracemalloc.stop()
         assert dump(model) == "".join(text)
         assert peak / len(model.row_keys) < 160
+
+    def test_high_order_header_loads_compactly(self, tmp_path):
+        """The header's order is unbounded, and a one-row model of order
+        30,000 loads and scores in a few kilobytes: no table of place values
+        with one entry per context length (58 MiB at this order)."""
+        path = tmp_path / "model.tsv"
+        path.write_text("kgel-ngram-v1\n30000\n1\n\ta\t1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            scores = [model.score_sparse(prefix, ["a"]) for prefix in ((), ("a",), ("a",) * 50)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (model.order, model.tokens, list(model.row_counts)) == (30000, ("a",), [1])
+        assert scores == [(math.log(1 / 2), {"a": 0.0}), (0.0, {}), (0.0, {})]
+        assert peak < 256 * 1024
 
     def test_loaded_rows_stay_compact(self, tmp_path):
         """The loaded tables cost a few bytes per row: sorted integer columns,
