@@ -303,7 +303,22 @@ def cmd_link(args) -> int:
         scorer_factory = lambda surface: uniform
     else:
         scorer_factory = lambda surface: condition_on_mention(model, surface)
-    predictions = link_dataset(kg, docs, scorer_factory, trie=trie, beam_width=args.beam_width, top_k=args.top_k)
+
+    def decode(part: list) -> list:
+        return link_dataset(kg, part, scorer_factory, trie=trie, beam_width=args.beam_width, top_k=args.top_k)
+
+    # A worker decodes the documents that hold the later half of the
+    # mentions while the first half is decoded here; its predictions are
+    # appended at the join. An error in the first half is raised before the
+    # join, so it wins over the worker's, as in a serial run.
+    total = sum(len(doc.mentions) for doc in docs)
+    held = split = 0
+    while 2 * held < total:
+        held += len(docs[split].mentions)
+        split += 1
+    with _in_worker(decode, docs[split:], overlap=held < total) as decoded_later:
+        predictions = decode(docs[:split])
+        predictions += decoded_later()
     with _open_output(args.out) as fp:
         count = write_predictions(predictions, fp, config=config)
     failed = sum(1 for prediction in predictions if not prediction.candidates)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 from .errors import KgelError, MalformedPredictionsError
 from .ingest import Document, Mention, header_line, read_records
 from .kg import EntityId, KnowledgeGraph
-from .similarity import Pattern, length_bound, similarity_from_distance
+from .similarity import similarities
 from .text import normalize
 from .trie import Scorer, TokenTrie, build_trie, constrained_beam_search
 
@@ -63,29 +63,19 @@ def build_lookup(kg: KnowledgeGraph) -> LookupTable:
 
 def _resolve_owner(kg: KnowledgeGraph, mention_surface: str, owners: Sequence[EntityId]) -> EntityId:
     """The owner with the synonym most similar to the mention, then the
-    smallest id. (owner, synonym) pairs are scored in order of descending
-    length bound, then ascending id; the bound is never below a pair's
-    similarity, so the first pair that can no longer win ends the search."""
+    smallest id. ``owners`` are ascending, as the trie stores them. Each
+    distinct normalized synonym is kept with its first owner, and one scan of
+    the mention scores them all; the first string at the highest similarity
+    wins, so a tie goes to the smallest id."""
     if len(owners) == 1:
         return owners[0]
-    mention = normalize(mention_surface)
-    pattern = Pattern(mention)
-    n = len(mention)
-    pairs = sorted(
-        (-length_bound(n, len(synonym)), entity_id, synonym)
-        for entity_id in owners
-        for synonym in map(normalize, kg.entities[entity_id].synonyms)
-    )
-    # similarity is never negative, so the first pair is always scored
-    best, winner = -1.0, owners[0]
-    for negative_bound, entity_id, synonym in pairs:
-        bound = -negative_bound
-        if bound < best or (bound == best and entity_id >= winner):
-            break
-        score = similarity_from_distance(pattern.distance(synonym), n, len(synonym))
-        if score > best or (score == best and entity_id < winner):
-            best, winner = score, entity_id
-    return winner
+    first_owner: dict[str, EntityId] = {}
+    for entity_id in owners:
+        for synonym in kg.entities[entity_id].synonyms:
+            first_owner.setdefault(normalize(synonym), entity_id)
+    strings = list(first_owner)
+    scores = similarities(normalize(mention_surface), strings)
+    return first_owner[strings[scores.index(max(scores))]]
 
 
 def link_mention(

@@ -2,17 +2,18 @@
 
 The Levenshtein kernel is the hot loop when linking whole datasets. It is the
 bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's formulation for
-global edit distance (2003), split in two steps: compile one string into a
-:class:`Pattern`, then scan the other. One column of the DP matrix is held as
-vertical delta bit-vectors, so each scanned character costs a fixed number of
-integer operations. Python ints have no width limit, so the vectors span the
-whole pattern without splitting it into machine words. A pattern compiled
-once can be scanned against many strings, as owner resolution does.
+global edit distance (2003), split in two steps: compile strings into a
+:class:`Pattern`, then scan another string against it. One column of the DP
+matrix is held as vertical delta bit-vectors, so each scanned character costs
+a fixed number of integer operations. Python ints have no width limit, so one
+vector spans every compiled string, end to end with one guard bit between
+them, in the multi-pattern packing of Hyyrö, Fredriksson & Navarro (J. Exp.
+Algorithmics 2005): one scan gives the distance to each of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .text import normalize
 
@@ -20,51 +21,68 @@ if TYPE_CHECKING:
     from .kg import Entity
 
 
-class Pattern:
-    """A string compiled once for bit-parallel edit distance to many others.
+def _bits(flags: str) -> int:
+    """The int whose bit i is set where ``flags[i]`` is ``"1"``."""
+    return int(flags[::-1] or "0", 2)
 
-    Bit i of ``peq[c]`` is set where the pattern's i-th character is ``c``.
-    A scan costs a fixed number of int operations per character of the other
-    string, each on ints as wide as the pattern, so the shorter side of a
-    single pair makes the cheaper pattern.
+
+class Pattern:
+    """Strings compiled once for bit-parallel edit distance to another.
+
+    String j takes a block of ``len(strings[j])`` bits followed by a guard
+    bit. The guard bit is clear in every vector, so the carry of the scan's
+    addition stops there and no block sees its neighbour. A scan costs a
+    fixed number of int operations per character of the scanned text, on
+    ints as wide as all the strings together.
     """
 
-    __slots__ = ("peq", "length")
+    __slots__ = ("strings", "_reversed", "_chars", "_spans", "_mask", "_firsts")
 
-    def __init__(self, text: str):
-        peq: dict[str, int] = {}
-        bit = 1
-        for c in text:
-            peq[c] = peq.get(c, 0) | bit
-            bit <<= 1
-        self.peq = peq
-        self.length = len(text)
+    def __init__(self, *strings: str):
+        self.strings = strings
+        # "\0" holds the guard positions here, but a string may hold it too:
+        # the mask clears guard positions from every match vector
+        joined = "".join(f"{s}\0" for s in strings)
+        self._reversed = joined[::-1]
+        self._chars = set(joined)
+        spans, start = [], 0
+        for s in strings:
+            spans.append((start, start + len(s)))
+            start += len(s) + 1
+        self._spans = spans
+        self._mask = mask = _bits("".join(f"{'1' * len(s)}0" for s in strings))
+        # the top DP row of each block is 0, 1, 2, ...: a +1 horizontal delta
+        # enters at each block's first bit
+        self._firsts = mask & ~(mask << 1)
 
-    def distance(self, text: str) -> int:
-        """Unit-cost Levenshtein distance between the pattern and ``text``."""
-        m = self.length
-        if m == 0:
-            return len(text)
-        peq = self.peq
-        last = 1 << (m - 1)
-        mask = (last << 1) - 1
-        pv, mv, score = mask, 0, m
+    def distances(self, text: str) -> list[int]:
+        """Unit-cost Levenshtein distance between ``text`` and each string."""
+        mask, firsts = self._mask, self._firsts
+        table = dict.fromkeys(map(ord, self._chars), "0")
+        peq = {}
+        for c in self._chars.intersection(text):
+            table[ord(c)] = "1"
+            peq[c] = int(self._reversed.translate(table), 2) & mask
+            table[ord(c)] = "0"
+        pv, mv = mask, 0
         for c in text:
             eq = peq.get(c, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            if ph & last:
-                score += 1
-            elif mh & last:
-                score -= 1
-            # the top DP row is 0, 1, 2, ...: a +1 horizontal delta enters at bit 0
-            ph = (ph << 1) | 1
-            mh <<= 1
+            ph = ((mv | ~(xh | pv)) << 1) | firsts
+            mh = (pv & xh) << 1
             pv = (mh | ~(xv | ph)) & mask
             mv = ph & xv
-        return score
+        # a block's bottom value is its top value, len(text), plus the
+        # vertical deltas down its last column
+        n = len(text)
+        pv_bits, mv_bits = f"{pv:b}"[::-1], f"{mv:b}"[::-1]
+        return [n + pv_bits.count("1", start, end) - mv_bits.count("1", start, end) for start, end in self._spans]
+
+    def distance(self, text: str) -> int:
+        """Unit-cost Levenshtein distance between ``text`` and a pattern of one string."""
+        (result,) = self.distances(text)
+        return result
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -83,15 +101,6 @@ def similarity_from_distance(distance: int, len_a: int, len_b: int) -> float:
     return 1.0 - distance / max(len_a, len_b)
 
 
-def length_bound(len_a: int, len_b: int) -> float:
-    """The highest similarity two strings of these lengths can have.
-
-    Their distance is at least ``|len_a - len_b|``, and correctly rounded
-    division and subtraction are monotone, so the bound is never below the
-    computed similarity, in floating point as well."""
-    return similarity_from_distance(abs(len_a - len_b), len_a, len_b)
-
-
 def similarity(a: str, b: str, *, normalized: bool = True) -> float:
     """Similarity in [0, 1]: 1 - distance / max length.
 
@@ -103,7 +112,17 @@ def similarity(a: str, b: str, *, normalized: bool = True) -> float:
     return similarity_from_distance(edit_distance(a, b), len(a), len(b))
 
 
+def similarities(text: str, strings: Sequence[str]) -> list[float]:
+    """The similarity of ``text`` to each of ``strings``, as given (not
+    normalized here), from one scan of ``text``."""
+    n = len(text)
+    return [
+        similarity_from_distance(d, n, len(s)) for d, s in zip(Pattern(*strings).distances(text), strings)
+    ]
+
+
 def select_target_synonym(mention_surface: str, entity: "Entity") -> str:
     """The entity synonym closest to the mention; ties prefer the shorter
     synonym, then the lexicographically smaller one."""
-    return min(entity.synonyms, key=lambda s: (-similarity(mention_surface, s), len(s), s))
+    scores = similarities(normalize(mention_surface), [normalize(s) for s in entity.synonyms])
+    return min(zip(scores, entity.synonyms), key=lambda pair: (-pair[0], len(pair[1]), pair[1]))[1]

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import (
     EmptyCorpusError,
+    EmptySurfaceError,
     MalformedLineError,
     NoTriplesError,
     SpecialTokenError,
@@ -63,9 +64,11 @@ def derive_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def check_special_tokens(kg: KnowledgeGraph) -> None:
-    """Reject graphs whose text contains reserved template tokens. Tokens are
-    case-folded downstream, so the comparison is too: ``[bos]`` is ``[BOS]``."""
+def check_template_text(kg: KnowledgeGraph) -> None:
+    """Reject graphs whose text the templates cannot carry: a synonym with no
+    tokens (as ``build_trie`` does), or text that contains a reserved
+    template token. Tokens are case-folded downstream, so the comparison is
+    too: ``[bos]`` is ``[BOS]``."""
 
     def scan(text: str, where: str) -> None:
         folded = text.casefold()
@@ -75,6 +78,8 @@ def check_special_tokens(kg: KnowledgeGraph) -> None:
 
     for entity in kg.entities.values():
         for synonym in entity.synonyms:
+            if not synonym.split():
+                raise EmptySurfaceError(f"synonym {synonym!r} of {entity.id} normalizes to zero tokens")
             scan(synonym, f"synonym of {entity.id}")
         if entity.definition:
             scan(entity.definition, f"definition of {entity.id}")
@@ -225,12 +230,13 @@ def synthesize_corpus(
 
     ``combined`` emits an entity's synonym samples followed by its
     line-by-line triple samples. Each entity draws from its own derived seed.
-    ``mode`` and the KG's reserved tokens are checked here, before the first
-    sample is asked for, so a caller can fail before it opens its output.
+    ``mode`` and the KG's text (see ``check_template_text``) are checked
+    here, before the first sample is asked for, so a caller can fail before
+    it opens its output.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    check_special_tokens(kg)
+    check_template_text(kg)
     return _samples(kg, mode, cap, k, seed)
 
 

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import weakref
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import pytest
@@ -503,10 +503,12 @@ def assert_no_child_left() -> None:
 
 
 class TestWorker:
-    """``link`` loads the model, and ``train-scorer`` builds the fine-tuning
-    lines, in a forked worker, or inline without ``os.fork``. Either way the
-    first error is the one a serial run meets first: KG, then dataset, then
-    model, and KG or dataset before corpus. No process outlives a command."""
+    """``link`` loads the model, and decodes the later half of the mentions,
+    and ``train-scorer`` builds the fine-tuning lines, in a forked worker, or
+    inline without ``os.fork``. Either way the first error is the one a
+    serial run meets first: KG, then dataset, then model, then the first
+    half's mentions before the later half's, and KG or dataset before
+    corpus. No process outlives a command."""
 
     @pytest.fixture(params=["fork", "inline"])
     def mode(self, request, monkeypatch):
@@ -609,6 +611,68 @@ class TestWorker:
 
         monkeypatch.setattr(kgel.cli, "load_model", lambda path: time.sleep(60))
         monkeypatch.setattr(kgel.cli, "parse_dataset", interrupt)
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--out", str(tmp_path / "p.jsonl")])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    # The toy dataset's documents d1 and d2 hold its first six mentions, the
+    # first half; d3 and d4 hold the rest, which a forked worker decodes.
+    @staticmethod
+    def fail_on(monkeypatch, failures: dict) -> None:
+        """Call ``failures[surface]()`` when the scorer for that mention surface is made."""
+        conditioned = kgel.cli.condition_on_mention
+
+        def condition(model, surface):
+            if surface in failures:
+                failures[surface]()
+            return conditioned(model, surface)
+
+        monkeypatch.setattr(kgel.cli, "condition_on_mention", condition)
+
+    @staticmethod
+    def raise_value_error(surface: str) -> Callable[[], None]:
+        def fail():
+            raise ValueError(f"no scorer for {surface}")
+
+        return fail
+
+    def link(self, capsys, tmp_path, paths):
+        out = tmp_path / "p.jsonl"
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert not out.exists()
+        assert_no_child_left()
+        return code, err
+
+    def test_decode_error_in_the_later_half(self, capsys, tmp_path, monkeypatch, mode, paths):
+        self.fail_on(monkeypatch, {"migraine": self.raise_value_error("migraine")})
+        assert self.link(capsys, tmp_path, paths) == (1, "kgel: error: no scorer for migraine\n")
+
+    def test_decode_error_in_the_first_half_wins(self, capsys, tmp_path, monkeypatch, mode, paths):
+        self.fail_on(monkeypatch, {s: self.raise_value_error(s) for s in ("headache", "migraine")})
+        assert self.link(capsys, tmp_path, paths) == (1, "kgel: error: no scorer for headache\n")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_decode_worker_that_dies_without_a_result_exits_2(self, capsys, tmp_path, monkeypatch, paths):
+        self.fail_on(monkeypatch, {"migraine": lambda: os._exit(1)})
+        code, err = self.link(capsys, tmp_path, paths)
+        assert code == 2
+        assert "worker process exited with status 1 before sending a result" in err
+
+    def test_interrupt_while_decoding_kills_the_worker(self, capsys, tmp_path, monkeypatch, mode, paths):
+        command = os.getpid()
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        def stall():
+            if os.getpid() != command:
+                time.sleep(60)
+
+        self.fail_on(monkeypatch, {"headache": interrupt, "migraine": stall})
         argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):

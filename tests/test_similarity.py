@@ -3,7 +3,7 @@ import types
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgel.kg import Entity
 from kgel.similarity import Pattern, edit_distance, select_target_synonym, similarity
@@ -120,6 +120,33 @@ class TestEditDistance:
             assert Pattern(short).distance(long) == Pattern(long).distance(short) == expected
 
 
+# "\0" is the character the pattern writes at its guard positions
+KERNEL_CHARS = ["a", "b", "\u00e9", "e", "\u0301", "\U0001F600", "\U0001D49C", " ", "\0"]
+kernel_text = st.lists(st.sampled_from(KERNEL_CHARS), max_size=12).map("".join)
+
+
+class TestPatternOfManyStrings:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_text, max_size=12), kernel_text)
+    @example(["", "", ""], "ab")
+    @example(["", "", ""], "")
+    @example(["a\0b", "\0", "", "\0\0"], "\0a\0")
+    @example(["abcdefghijkl"] * 6, "")
+    @example(["e\u0301\U0001F600" * 4, "", "\U0001D49C" * 12, "ab" * 6, "\0" * 12, "b" * 12], "ae\u0301\0\U0001F600")
+    def test_equals_oracle_for_every_string(self, strings, text):
+        assert Pattern(*strings).distances(text) == [levenshtein_oracle(s, text) for s in strings]
+
+    def test_wider_than_a_word(self):
+        rng = random.Random(31)
+        strings = ["".join(rng.choice("ab\0") for _ in range(rng.randint(0, 40))) for _ in range(12)]
+        assert sum(map(len, strings)) + len(strings) > 128
+        text = "".join(rng.choice("ab\0") for _ in range(30))
+        assert Pattern(*strings).distances(text) == [levenshtein_oracle(s, text) for s in strings]
+
+    def test_no_strings(self):
+        assert Pattern().distances("abc") == []
+
+
 def test_submodule_is_the_module():
     import kgel
     import kgel.similarity as module
@@ -172,6 +199,15 @@ class TestSelectTargetSynonym:
         e2 = Entity.make("C2", "ab", ["abx"])
         assert similarity("abq", "ab") == pytest.approx(similarity("abq", "abx"))
         assert select_target_synonym("abq", e2) == "ab"
+
+    # few characters, so ties are common; case and spaces that normalization folds
+    synonym_text = st.lists(st.sampled_from(["a", "b", "B", "\u00e9", "e\u0301", " ", "  "]), max_size=6).map("".join)
+
+    @given(st.lists(synonym_text.filter(str.strip), min_size=1, max_size=6), synonym_text)
+    def test_equals_the_rule(self, synonyms, mention_surface):
+        e = Entity.make("C1", synonyms[0], synonyms[1:])
+        expected = min(e.synonyms, key=lambda s: (-similarity(mention_surface, s), len(s), s))
+        assert select_target_synonym(mention_surface, e) == expected
 
     def test_permutation_invariant(self):
         rng = random.Random(7)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgel.errors import (
     EmptyCorpusError,
+    EmptySurfaceError,
     KgelError,
     MalformedLineError,
     NoTriplesError,
@@ -284,6 +285,14 @@ class TestSynthesizeCorpus:
         # tokens are case-folded, so "[bos]" is the BOS token of the n-gram model
         with pytest.raises(SpecialTokenError):
             list(synthesize_corpus(build_kg([Entity.make("A", text)], [], []), "synonym"))
+
+    @pytest.mark.parametrize("mode", ["synonym", "triple_line", "triple_all", "combined"])
+    @pytest.mark.parametrize("blank", [" ", "  \u00a0", "\u3000"])
+    def test_whitespace_only_synonym_rejected_at_call(self, mode, blank):
+        # the template would carry it as a run of spaces: '[BOS] aspirin is   [EOS]'
+        kg = build_kg([Entity.make("A", "aspirin", [blank])], [], [])
+        with pytest.raises(EmptySurfaceError, match="of A normalizes to zero tokens"):
+            synthesize_corpus(kg, mode)
 
     def test_unknown_mode(self, toy_kg):
         with pytest.raises(ValueError):
