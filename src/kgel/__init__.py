@@ -42,7 +42,6 @@ from .similarity import edit_distance, select_target_synonym
 from .synthesis import (
     TrainingSample,
     make_source,
-    read_corpus,
     relation_probabilities,
     sample_triples,
     synonym_samples,
@@ -88,7 +87,6 @@ __all__ = [
     "make_source",
     "parse_dataset",
     "parse_kg_dir",
-    "read_corpus",
     "read_predictions",
     "recall_at_k",
     "relation_probabilities",

@@ -52,9 +52,9 @@ from .synthesis import (
     synthesize_corpus,
     write_corpus,
 )
-from .trie import TRIE_DUMP_FORMAT, UniformScorer
+from .trie import UniformScorer
 
-FORMATS = (KG_TSV_FORMAT, DATASET_FORMAT, CORPUS_FORMAT, NGRAM_FORMAT, PREDICTIONS_FORMAT, TRIE_DUMP_FORMAT)
+FORMATS = (KG_TSV_FORMAT, DATASET_FORMAT, CORPUS_FORMAT, NGRAM_FORMAT, PREDICTIONS_FORMAT)
 DEFAULT_SEED = 42
 DEFAULT_BEAM_WIDTH = 5
 DEFAULT_TOP_K = 10

@@ -64,7 +64,7 @@ class NoTriplesError(KgelError):
 
 
 class SpecialTokenError(KgelError):
-    """A reserved template token occurs inside KG text."""
+    """A reserved template token occurs inside KG or mention text."""
 
 
 class EmptySurfaceError(KgelError):

@@ -295,12 +295,14 @@ def _parse_mention(path: Path, line_no: int, obj: object, text_bytes: bytes) -> 
 
 
 def parse_dataset(path: str | Path) -> list[Document]:
-    """Parse an annotated dataset. Gold ids are not checked against any KG
-    here; evaluation reports the ones that do not resolve."""
+    """Parse an annotated dataset; each ``doc_id`` may occur once. Gold ids
+    are not checked against any KG here; evaluation reports the ones that do
+    not resolve."""
     src = Path(path)
     if not src.is_file():
         raise MissingFileError(f"dataset file not found: {src}")
     docs = []
+    doc_ids = set()
     for line_no, line in _lines(src):
         if not line.strip():
             raise MalformedLineError(src, line_no, "blank line")
@@ -312,6 +314,9 @@ def parse_dataset(path: str | Path) -> list[Document]:
             raise MalformedLineError(src, line_no, f"record keys must be exactly {sorted(_DOC_KEYS)}")
         if not isinstance(obj["doc_id"], str) or not isinstance(obj["text"], str):
             raise MalformedLineError(src, line_no, "doc_id and text must be strings")
+        if obj["doc_id"] in doc_ids:
+            raise MalformedLineError(src, line_no, f"repeated doc_id {obj['doc_id']!r}")
+        doc_ids.add(obj["doc_id"])
         if not isinstance(obj["mentions"], list):
             raise MalformedLineError(src, line_no, "mentions must be a list")
         text_bytes = obj["text"].encode("utf-8")

@@ -176,9 +176,11 @@ def _prediction_from_record(obj: dict) -> LinkedPrediction:
 
 
 def read_predictions(path: str | Path) -> list[LinkedPrediction]:
-    """Read a predictions file, skipping the header record if it comes first."""
+    """Read a predictions file, skipping the header record if it comes first.
+    A ``(doc_id, mention_index)`` may occur once."""
     src = Path(path)
     predictions = []
+    keys = set()
     for line_no, obj in read_records(src, MalformedPredictionsError):
         if not isinstance(obj, dict) or set(obj) != {"doc_id", "mention_index", "gold", "candidates"}:
             raise MalformedPredictionsError(src, line_no, "unexpected record keys")
@@ -186,5 +188,9 @@ def read_predictions(path: str | Path) -> list[LinkedPrediction]:
             prediction = _prediction_from_record(obj)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedPredictionsError(src, line_no, str(exc)) from exc
+        key = prediction.doc_id, prediction.mention_index
+        if key in keys:
+            raise MalformedPredictionsError(src, line_no, f"repeated prediction for doc_id {key[0]!r}, mention_index {key[1]}")
+        keys.add(key)
         predictions.append(prediction)
     return predictions

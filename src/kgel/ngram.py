@@ -28,7 +28,7 @@ from .errors import EmptyCorpusError, MalformedModelError
 from .ingest import Document, locate_invalid_utf8
 from .kg import KnowledgeGraph
 from .similarity import select_target_synonym
-from .synthesis import BOS, EOS
+from .synthesis import BOS, EOS, check_reserved_tokens
 from .text import tokenize
 
 NGRAM_FORMAT = "kgel-ngram-v1"
@@ -68,10 +68,9 @@ class NGramModel:
     Each column is an unsigned ``array`` as narrow as its values allow, or a
     list of ints when keys need more than 64 bits. :func:`train` and
     :func:`load_model` fill the columns, encoding every row through
-    ``_start``; ``_rows`` decodes them. ``counts`` and ``totals`` are fresh
-    dict snapshots of the rows; scoring never reads them. The vocabulary is
-    interned, as every token :func:`tokenize` makes is, and a model pickles
-    as its four fields."""
+    ``_start``; ``_rows`` decodes them. The vocabulary is interned, as every
+    token :func:`tokenize` makes is, and a model pickles as its four
+    fields."""
 
     order: int
     tokens: tuple[str, ...]
@@ -91,23 +90,6 @@ class NGramModel:
     @property
     def vocab_size(self) -> int:
         return len(self.tokens)
-
-    @property
-    def counts(self) -> dict[tuple[str, ...], dict[str, int]]:
-        """A snapshot ``{context: {token: count}}`` of the rows; a token never
-        seen after a context is absent, not zero."""
-        counts: dict[tuple[str, ...], dict[str, int]] = {}
-        for context, token, count in self._rows():
-            table = counts.get(context)
-            if table is None:
-                table = counts[context] = {}
-            table[token] = count
-        return counts
-
-    @property
-    def totals(self) -> dict[tuple[str, ...], int]:
-        """A snapshot ``{context: sum of its counts}``."""
-        return {context: sum(table.values()) for context, table in self.counts.items()}
 
     def _rows(self) -> Iterator[tuple[tuple[str, ...], str, int]]:
         """``(context, token, count)`` for every row, in key order."""
@@ -322,14 +304,18 @@ def condition_on_mention(model: NGramModel, mention_surface: str) -> MentionCond
 
 def finetune_targets(kg: KnowledgeGraph, docs: Iterable[Document]) -> list[str]:
     """Linking-template lines, one per mention whose gold id resolves: the
-    target surface is the gold entity's synonym closest to the mention."""
+    target surface is the gold entity's synonym closest to the mention.
+    Raises ``SpecialTokenError`` when the mention or that synonym holds a
+    reserved template token, as ``synthesize_corpus`` does for KG text."""
     lines = []
     for doc in docs:
-        for mention in doc.mentions:
+        for index, mention in enumerate(doc.mentions):
             entity = kg.entities.get(mention.gold)
             if entity is None:
                 continue
+            check_reserved_tokens(mention.surface, f"mention {index} of document {doc.doc_id!r}")
             synonym = select_target_synonym(mention.surface, entity)
+            check_reserved_tokens(synonym, f"synonym of {entity.id}")
             lines.append(f"{BOS} {mention.surface} is {synonym} {EOS}")
     return lines
 

@@ -36,10 +36,9 @@ class Pattern:
     ints as wide as all the strings together.
     """
 
-    __slots__ = ("strings", "_reversed", "_chars", "_spans", "_mask", "_firsts")
+    __slots__ = ("_reversed", "_chars", "_spans", "_mask", "_firsts")
 
     def __init__(self, *strings: str):
-        self.strings = strings
         # "\0" holds the guard positions here, but a string may hold it too:
         # the mask clears guard positions from every match vector
         joined = "".join(f"{s}\0" for s in strings)
@@ -101,14 +100,11 @@ def similarity_from_distance(distance: int, len_a: int, len_b: int) -> float:
     return 1.0 - distance / max(len_a, len_b)
 
 
-def similarity(a: str, b: str, *, normalized: bool = True) -> float:
-    """Similarity in [0, 1]: 1 - distance / max length.
-
-    Equals 1.0 iff the (normalized) strings are equal; two empty strings
-    count as identical. ``normalized=False`` compares raw strings.
-    """
-    if normalized:
-        a, b = normalize(a), normalize(b)
+def similarity(a: str, b: str) -> float:
+    """Similarity in [0, 1] of the normalized strings: 1 - distance / max
+    length. Equals 1.0 iff they are equal; two empty strings count as
+    identical."""
+    a, b = normalize(a), normalize(b)
     return similarity_from_distance(edit_distance(a, b), len(a), len(b))
 
 

@@ -64,27 +64,29 @@ def derive_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def check_reserved_tokens(text: str, where: str) -> None:
+    """Raise ``SpecialTokenError`` when ``text`` contains a reserved template
+    token. Tokens are case-folded downstream, so the comparison is too:
+    ``[bos]`` is ``[BOS]``."""
+    folded = text.casefold()
+    for token in SPECIAL_TOKENS:
+        if token.casefold() in folded:
+            raise SpecialTokenError(f"reserved token {token} occurs in {where}: {text!r}")
+
+
 def check_template_text(kg: KnowledgeGraph) -> None:
     """Reject graphs whose text the templates cannot carry: a synonym with no
     tokens (as ``build_trie`` does), or text that contains a reserved
-    template token. Tokens are case-folded downstream, so the comparison is
-    too: ``[bos]`` is ``[BOS]``."""
-
-    def scan(text: str, where: str) -> None:
-        folded = text.casefold()
-        for token in SPECIAL_TOKENS:
-            if token.casefold() in folded:
-                raise SpecialTokenError(f"reserved token {token} occurs in {where}: {text!r}")
-
+    template token (see ``check_reserved_tokens``)."""
     for entity in kg.entities.values():
         for synonym in entity.synonyms:
             if not synonym.split():
                 raise EmptySurfaceError(f"synonym {synonym!r} of {entity.id} normalizes to zero tokens")
-            scan(synonym, f"synonym of {entity.id}")
+            check_reserved_tokens(synonym, f"synonym of {entity.id}")
         if entity.definition:
-            scan(entity.definition, f"definition of {entity.id}")
+            check_reserved_tokens(entity.definition, f"definition of {entity.id}")
     for relation in kg.relations.values():
-        scan(relation.label, f"label of relation {relation.id}")
+        check_reserved_tokens(relation.label, f"label of relation {relation.id}")
 
 
 def make_source(entity: Entity, synonym: str) -> str:
@@ -291,12 +293,6 @@ def _corpus_records(path: str | Path) -> Iterator[tuple[str, str, str, str]]:
         if not (isinstance(source, str) and isinstance(target, str) and isinstance(kind, str) and isinstance(concept, str)):
             raise MalformedLineError(src, line_no, "corpus record fields must be strings")
         yield source, target, kind, concept
-
-
-def read_corpus(path: str | Path) -> Iterator[TrainingSample]:
-    """Read a corpus file, skipping the header record if it comes first."""
-    for source, target, kind, concept in _corpus_records(path):
-        yield TrainingSample(source, target, kind, concept)
 
 
 def corpus_targets(path: str | Path) -> Iterator[str]:

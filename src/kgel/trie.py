@@ -26,8 +26,6 @@ from .errors import EmptySurfaceError, InvalidPrefixError, NonFiniteScoreError, 
 from .kg import KnowledgeGraph
 from .text import tokenize
 
-TRIE_DUMP_FORMAT = "kgel-trie-dump-v1"
-
 
 class Scorer(Protocol):
     def score_next(self, prefix: Sequence[str], candidates: set[str]) -> Mapping[str, float]:
@@ -237,20 +235,6 @@ class TokenTrie:
     def max_depth(self) -> int:
         return self._max_depth
 
-    def iter_dump(self) -> Iterator[str]:
-        """Preorder dump, children in sorted token order:
-        ``depth<TAB>token<TAB>terminal<TAB>payload-csv`` (root omitted)."""
-        first = self._first
-        stack = [(1, child) for child in reversed(range(first[0], first[1]))]
-        while stack:
-            depth, node = stack.pop()
-            owners = self._owners(node)
-            yield f"{depth}\t{self._labels[node]}\t{'1' if owners else '0'}\t{','.join(owners)}"
-            stack.extend((depth + 1, child) for child in reversed(range(first[node], first[node + 1])))
-
-    def dump(self) -> str:
-        return "".join(line + "\n" for line in self.iter_dump())
-
 
 def build_trie(kg: KnowledgeGraph) -> TokenTrie:
     """Trie over every synonym of every entity; a terminal's payload lists all
@@ -267,35 +251,26 @@ def build_trie(kg: KnowledgeGraph) -> TokenTrie:
     return TokenTrie._build(entries())
 
 
-def constrained_beam_search(
-    trie: TokenTrie,
-    scorer: Scorer,
-    beam_width: int = 5,
-    max_len: int | None = None,
-) -> list[tuple[tuple[str, ...], float]]:
+def constrained_beam_search(trie: TokenTrie, scorer: Scorer, beam_width: int = 5) -> list[tuple[tuple[str, ...], float]]:
     """Beam search where each step's candidates are exactly the trie children.
 
     A beam sitting on a terminal node emits a completed hypothesis (and keeps
     expanding if the node has children). Hypotheses are ranked by descending
-    score, ties broken lexicographically by token sequence. ``max_len``
-    defaults to the trie depth, which guarantees completion on a non-empty
-    trie. Raises NoHypothesisError when nothing completes,
+    score, ties broken lexicographically by token sequence. Search runs
+    ``trie.max_depth`` steps, so it completes on any non-empty trie. Raises
+    NoHypothesisError when nothing completes (an empty trie),
     NonFiniteScoreError when the scorer returns NaN or an infinity, and
     ValueError when it scores a token that is not a candidate (or, for a
     scorer with only ``score_next``, misses one).
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    if max_len is None:
-        max_len = trie.max_depth
-    if max_len < 1 and len(trie) > 0:
-        raise ValueError("max_len must be >= 1")
     score_sparse = getattr(scorer, "score_sparse", None) or _dense(scorer)
 
     labels, first, owner_first = trie._labels, trie._first, trie._owner_first
     beams: list[tuple[tuple[str, ...], float, int]] = [((), 0.0, 0)]
     completed: list[tuple[tuple[str, ...], float]] = []
-    for _ in range(max_len):
+    for _ in range(trie.max_depth):
         expansions: list[tuple[tuple[str, ...], float, int]] = []
         for prefix, score, node in beams:
             lo, hi = first[node], first[node + 1]
@@ -321,6 +296,6 @@ def constrained_beam_search(
                 completed.append((prefix, score))
 
     if not completed:
-        raise NoHypothesisError("no surface form completed within max_len")
+        raise NoHypothesisError("no surface form completed")
     completed.sort(key=lambda item: (-item[1], item[0]))
     return completed

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -45,8 +46,13 @@ class TestTopLevel:
         code, out, err = run(capsys, "--version")
         assert code == 0
         assert "kgel 0.1.0" in out
-        assert "kgel-ngram-v1" in out
         assert "backend" not in out
+        # Exactly the formats that some command reads or writes.
+        # argparse wraps the version line
+        assert re.findall(r"kgel-[\w-]+", out) == [
+            "kgel-kg-tsv-v1", "kgel-dataset-jsonl-v1", "kgel-corpus-v1", "kgel-ngram-v1", "kgel-predictions-v1",
+        ]
+        assert "kgel-trie-dump-v1" not in out
 
     def test_python_dash_m_kgel(self):
         env = {**os.environ, "PYTHONPATH": str(Path(kgel.__file__).parents[1])}
@@ -158,6 +164,17 @@ class TestTopLevel:
         code, _, err = run(capsys, "evaluate", "--preds", str(bad), "--kg", str(TOY_KG_DIR))
         assert code == 2
         assert f"{bad}:2: " in err
+
+    def test_repeated_prediction_exits_2(self, capsys, tmp_path):
+        """A file whose first record appears twice is rejected, not scored as
+        three mentions."""
+        first = '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": [{"surface": "a", "entity": "C1", "score": 0.0}]}'
+        second = '{"doc_id": "d", "mention_index": 1, "gold": "C2", "candidates": []}'
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(['{"kgel": {}}', first, second, first]) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--preds", str(bad), "--csv")
+        assert (code, out) == (2, "")
+        assert f"{bad}:4: repeated prediction for doc_id 'd', mention_index 0" in err
 
     @pytest.mark.parametrize(
         "command, line",
@@ -521,12 +538,14 @@ class TestWorker:
     @pytest.fixture
     def paths(self, capsys, tmp_path):
         """A toy KG, dataset, empty dataset, model and corpus, each next to a
-        broken copy (``bad_*``) and a missing model."""
+        broken copy (``bad_*``), a missing model and a dataset whose mention
+        holds a reserved template token."""
         paths = {
             "kg": TOY_KG_DIR, "dataset": TOY_DATASET, "empty": tmp_path / "empty.jsonl",
             "model": tmp_path / "model.tsv", "corpus": tmp_path / "corpus.jsonl",
             "bad_kg": tmp_path / "kg", "bad_dataset": tmp_path / "d.jsonl", "bad_model": tmp_path / "bad.tsv",
             "bad_corpus": tmp_path / "c.jsonl", "missing_model": tmp_path / "nowhere.tsv",
+            "reserved_dataset": tmp_path / "r.jsonl",
         }
         paths["empty"].write_text("", encoding="utf-8")
         argv = ["train-scorer", "--dataset", str(TOY_DATASET), "--kg", str(TOY_KG_DIR), "--out", str(paths["model"])]
@@ -538,6 +557,10 @@ class TestWorker:
         paths["bad_dataset"].write_text("not json\n", encoding="utf-8")
         paths["bad_model"].write_text("kgel-ngram-v1\n3\n1\n\ta\tmany\n", encoding="utf-8")
         paths["bad_corpus"].write_text("not json\n", encoding="utf-8")
+        mention = {"start": 0, "end": 8, "surface": "[EOS] is", "gold": "C0001"}
+        paths["reserved_dataset"].write_text(
+            json.dumps({"doc_id": "r1", "text": "[EOS] is", "mentions": [mention]}) + "\n", encoding="utf-8"
+        )
         return {name: str(path) for name, path in paths.items()}
 
     @pytest.mark.parametrize(
@@ -564,8 +587,9 @@ class TestWorker:
         [
             ("bad_kg", "dataset", "{bad_kg}/concepts.tsv:6: duplicate concept id"),
             ("kg", "bad_dataset", "{bad_dataset}:1: invalid JSON"),
+            ("kg", "reserved_dataset", "reserved token [EOS] occurs in mention 0 of document 'r1'"),
         ],
-        ids=["kg_before_corpus", "dataset_before_corpus"],
+        ids=["kg_before_corpus", "dataset_before_corpus", "reserved_token_before_corpus"],
     )
     def test_train_scorer_reports_the_first_error(self, capsys, tmp_path, mode, paths, kg, dataset, expected):
         out = tmp_path / "m.tsv"
@@ -576,6 +600,14 @@ class TestWorker:
         assert expected.format(**paths) in err and paths["bad_corpus"] not in err
         assert not out.exists()
         assert_no_child_left()
+
+    def test_train_scorer_rejects_a_reserved_token_in_a_mention(self, capsys, tmp_path, paths):
+        out = tmp_path / "m.tsv"
+        argv = ["train-scorer", "--dataset", paths["reserved_dataset"], "--kg", paths["kg"], "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "kgel: error: reserved token [EOS] occurs in mention 0 of document 'r1': '[EOS] is'" in err
+        assert not out.exists()
 
     def test_link_writes_what_an_in_process_run_writes(self, capsys, tmp_path, mode, paths):
         out = tmp_path / "p.jsonl"

@@ -525,6 +525,12 @@ class TestParseDataset:
         assert len(docs) == 4
         assert sum(len(d.mentions) for d in docs) == 10
 
+    def test_repeated_doc_id_rejected_at_the_later_line(self, tmp_path):
+        path = self.write(tmp_path, doc_line("d1"), doc_line("d2"), doc_line("d1", text="ab"))
+        with pytest.raises(MalformedLineError) as info:
+            parse_dataset(path)
+        assert (info.value.line_no, info.value.reason) == (3, "repeated doc_id 'd1'")
+
     def test_span_out_of_bounds(self, tmp_path):
         path = self.write(tmp_path, doc_line(mentions=[{"start": 0, "end": 9, "surface": "x", "gold": "C1"}]))
         with pytest.raises(SpanOutOfBoundsError):

@@ -204,6 +204,22 @@ class TestPredictionsIO:
             write_predictions(predictions, fp, config={"command": "link"})
         assert read_predictions(path) == predictions
 
+    def test_repeated_key_rejected_at_the_later_line(self, tmp_path):
+        lines = [
+            '{"kgel": {}}',
+            '{"doc_id": "d", "mention_index": 0, "gold": "C1", "candidates": []}',
+            '{"doc_id": "d", "mention_index": 1, "gold": "C1", "candidates": []}',
+            '{"doc_id": "e", "mention_index": 0, "gold": "C1", "candidates": []}',
+            '{"doc_id": "d", "mention_index": 0, "gold": "C2", "candidates": []}',
+        ]
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedPredictionsError) as info:
+            read_predictions(path)
+        assert (info.value.line_no, info.value.reason) == (5, "repeated prediction for doc_id 'd', mention_index 0")
+        path.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+        assert len(read_predictions(path)) == 3
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text("{broken\n", encoding="utf-8")

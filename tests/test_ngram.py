@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kgel import ngram
-from kgel.errors import EmptyCorpusError, KgelError, LineError, MalformedModelError
+from kgel.errors import EmptyCorpusError, KgelError, LineError, MalformedModelError, SpecialTokenError
 from kgel.kg import Entity, build_kg
 from kgel.ngram import (
     _SAVE_ROWS,
@@ -80,6 +80,15 @@ def dump(model):
     return buffer.getvalue()
 
 
+def model_counts(model):
+    """``{context: {token: count}}`` decoded from the model's rows; a token
+    never seen after a context is absent, not zero."""
+    counts = {}
+    for context, token, count in model._rows():
+        counts.setdefault(context, {})[token] = count
+    return counts
+
+
 def reference_valid(order, tables):
     """Whether ``load_model`` must accept the ``reference_dump`` of
     ``tables``: a non-empty ``()`` table of tokens that ``tokenize`` could
@@ -139,29 +148,26 @@ class TestTrain:
     @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
     def test_equals_reference_loop(self, lines, order):
         try:
-            counts, totals, vocab = reference_train(lines, order)
+            counts, _, vocab = reference_train(lines, order)
         except EmptyCorpusError:
             with pytest.raises(EmptyCorpusError):
                 train(iter(lines), order)
             return
         model = train(iter(lines), order)
-        assert model.counts == counts
-        assert model.totals == totals
         assert model.vocab == vocab
         assert dump(model) == reference_dump(order, counts)
 
     def test_single_observation(self):
         model = train(["[BOS] a b [EOS]"], order=2)
-        assert model.counts[("a",)]["b"] == 1
-        assert model.totals[("a",)] == 1
+        assert model_counts(model)[("a",)] == {"b": 1}
         assert model.vocab == {"[bos]", "a", "b", "[eos]"}
 
     def test_duplicate_lines_double_counts(self):
         single = train(["[BOS] a b [EOS]"], order=2)
         double = train(["[BOS] a b [EOS]"] * 2, order=2)
-        for context, counter in single.counts.items():
-            for token, count in counter.items():
-                assert double.counts[context][token] == 2 * count
+        doubled = model_counts(double)
+        for context, counter in model_counts(single).items():
+            assert doubled[context] == {token: 2 * count for token, count in counter.items()}
 
     def test_vocabulary_covers_fixture_tokens(self, toy_kg):
         targets = [s.target for s in synthesize_corpus(toy_kg, "combined", seed=4)]
@@ -180,12 +186,15 @@ class TestTrain:
 
     def test_order_one_has_only_empty_context(self):
         model = train(["[BOS] a b [EOS]"], order=1)
-        assert set(model.counts) == {()}
+        assert set(model_counts(model)) == {()}
 
     def test_totals_match_continuations(self):
+        """The add-one denominator of each context is the sum of its rows'
+        counts plus the vocabulary size."""
         model = train(["[BOS] a b a c [EOS]", "[BOS] b a [EOS]"], order=3)
-        for context, counter in model.counts.items():
-            assert model.totals[context] == sum(counter.values())
+        for context, counter in model_counts(model).items():
+            default, _ = model.score_sparse(context, model.vocab)
+            assert default == math.log(1 / (sum(counter.values()) + model.vocab_size))
 
 
 def assert_trains_like_reference(lines, order):
@@ -216,12 +225,13 @@ class TestRunMerge:
 
     def test_no_row_across_a_line_break(self):
         model = assert_trains_like_reference(["a b", "c d"], 3)
-        assert model.counts == {(): {"a": 1, "b": 1, "c": 1, "d": 1}, ("a",): {"b": 1}, ("c",): {"d": 1}}
+        assert model_counts(model) == {(): {"a": 1, "b": 1, "c": 1, "d": 1}, ("a",): {"b": 1}, ("c",): {"d": 1}}
 
     def test_line_shorter_than_the_order(self):
         model = assert_trains_like_reference(["x", "[BOS] a b [EOS]", "y z"], 5)
-        assert model.counts[()]["x"] == 1
-        assert ("x",) not in model.counts and model.counts[("y",)] == {"z": 1}
+        counts = model_counts(model)
+        assert counts[()]["x"] == 1
+        assert ("x",) not in counts and counts[("y",)] == {"z": 1}
 
     def test_order_far_above_the_longest_line(self):
         """No window is wider than the longest line, so widths past it are
@@ -242,7 +252,7 @@ class TestRunMerge:
         lines = [" ".join(words[i:i + 7]) for i in range(0, len(words), 7)] + ["w0 w69999 w65535"]
         model = assert_trains_like_reference(lines, 2)
         assert model.vocab_size == 70_000
-        assert model.counts[("w69999",)] == {"w65535": 1}
+        assert model_counts(model)[("w69999",)] == {"w65535": 1}
 
 
 @st.composite
@@ -351,11 +361,11 @@ class TestScoreNext:
 
     def test_pinned_to_add_one_formulas(self):
         model = train(["[BOS] a b [EOS]", "[BOS] a c [EOS]", "[BOS] a d e [EOS]"], order=2)
-        assert model.vocab_size == 7 and model.totals[("a",)] == 3
+        counter = model_counts(model)[("a",)]
+        assert model.vocab_size == 7 and counter == {"b": 1, "c": 1, "d": 1}
         # For both denominators log(1/d) and -log(d) differ in the last bit,
         # so an exchanged default changes the scores compared below.
         assert math.log(1 / 10) != -math.log(10) and math.log(1 / 7) != -math.log(7)
-        counter = model.counts[("a",)]
         candidates = {"b", "e", "[eos]"}
         assert model.score_next(["a"], candidates) == {t: math.log((counter.get(t, 0) + 1) / 10) for t in candidates}
         assert model.score_next(["zzz"], candidates) == {t: -math.log(7) for t in candidates}
@@ -452,15 +462,32 @@ class TestFinetuneTargets:
         docs = make_documents([[("aspirin", "C1"), ("mystery", "C404")]])
         assert finetune_targets(kg, docs) == ["[BOS] aspirin is aspirin [EOS]"]
 
+    @pytest.mark.parametrize("surface", ["[EOS] is", "x [bos]", "a[St]b", "[et]"])
+    def test_reserved_token_in_mention_rejected(self, surface):
+        kg = build_kg([Entity.make("C1", "aspirin")], [], [])
+        docs = make_documents([[("aspirin", "C1"), (surface, "C1")]])
+        with pytest.raises(SpecialTokenError, match=r"occurs in mention 1 of document 'd0'"):
+            finetune_targets(kg, docs)
+        # A mention whose gold does not resolve writes no line.
+        assert finetune_targets(kg, make_documents([[(surface, "C404")]])) == []
+
+    def test_reserved_token_in_chosen_synonym_rejected(self):
+        """The graph that ``synthesize_corpus`` rejects is rejected here too,
+        when the line would carry the synonym that holds the token."""
+        kg = build_kg([Entity.make("C1", "aspirin", ["[eos] asa"])], [], [])
+        with pytest.raises(SpecialTokenError):
+            synthesize_corpus(kg, "synonym")
+        with pytest.raises(SpecialTokenError, match=r"occurs in synonym of C1: '\[eos\] asa'"):
+            finetune_targets(kg, make_documents([[("eos asa", "C1")]]))
+        assert finetune_targets(kg, make_documents([[("aspirin", "C1")]])) == ["[BOS] aspirin is aspirin [EOS]"]
+
 
 def model_tokens(model):
-    """Every token object a model holds: context elements, table keys and the
-    vocabulary."""
-    for context, table in model.counts.items():
+    """Every token object a model holds: the context elements and tokens of
+    the rows it decodes, and the vocabulary."""
+    for context, token, _ in model._rows():
         yield from context
-        yield from table
-    for context in model.totals:
-        yield from context
+        yield token
     yield from model.vocab
 
 
@@ -582,16 +609,13 @@ class TestModelIO:
 
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(LINES, max_size=12), order=st.integers(1, 5))
-    def test_tables_are_plain_dicts_and_round_trip(self, tmp_path_factory, lines, order):
+    def test_trained_lines_round_trip(self, tmp_path_factory, lines, order):
         assume(any(tokenize(line) for line in lines))
         model = train(lines, order)
         path = tmp_path_factory.mktemp("tables") / "model.tsv"
         path.write_text(dump(model), encoding="utf-8")
         reloaded = load_model(path)
         assert reloaded == model
-        for m in (model, reloaded):
-            assert type(m.counts) is dict
-            assert all(type(table) is dict for table in m.counts.values())
         assert dump(reloaded) == path.read_text(encoding="utf-8")
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -649,7 +673,7 @@ class TestModelIO:
         path = tmp_path / "model.tsv"
         path.write_bytes(b"kgel-ngram-v1\n2\n2\n" + rows)
         if isinstance(expected, dict):
-            assert load_model(path).counts == expected
+            assert model_counts(load_model(path)) == expected
         else:
             with pytest.raises(MalformedModelError) as info:
                 load_model(path)
@@ -701,7 +725,7 @@ class TestModelIO:
         path.write_text(text, encoding="utf-8")
         model = load_model(path)
         assert getattr(model.row_counts, "typecode", None) == column
-        assert model.counts == {(): {"a": 1, "b": count}, ("a",): {"b": count}}
+        assert model_counts(model) == {(): {"a": 1, "b": count}, ("a",): {"b": count}}
         assert dump(model) == text
 
     def test_late_wide_count_widens_the_count_column(self, tmp_path):
@@ -712,7 +736,7 @@ class TestModelIO:
         path.write_text(text, encoding="utf-8")
         model = load_model(path)
         assert model.row_counts.typecode == "Q"
-        assert model.counts == {(): {"a": 1, "b": 1}, ("a",): {"b": 2**40}}
+        assert model_counts(model) == {(): {"a": 1, "b": 1}, ("a",): {"b": 2**40}}
         assert dump(model) == text
 
     def test_rejects_duplicate_row(self, tmp_path):

@@ -168,10 +168,6 @@ class TestSimilarity:
     def test_both_empty(self):
         assert similarity("", "") == 1.0
 
-    def test_unnormalized_mode(self):
-        assert similarity("MI", "mi", normalized=False) == 0.0
-        assert similarity("mi", "mi", normalized=False) == 1.0
-
     @given(short_text, short_text)
     def test_bounded_and_exact_at_one(self, a, b):
         value = similarity(a, b)

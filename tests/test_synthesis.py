@@ -19,7 +19,6 @@ from kgel.synthesis import (
     TrainingSample,
     corpus_targets,
     make_source,
-    read_corpus,
     relation_probabilities,
     sample_triples,
     synonym_samples,
@@ -362,7 +361,10 @@ class TestCorpusIO:
         path = tmp_path / "corpus.jsonl"
         with open(path, "w", encoding="utf-8") as fp:
             write_corpus(samples, fp, config={"seed": 21})
-        assert list(read_corpus(path)) == samples
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header) == {"kgel": {"format": "kgel-corpus-v1", "config": {"seed": 21}}}
+        assert [TrainingSample(**json.loads(record)) for record in records] == samples
+        assert list(corpus_targets(path)) == [sample.target for sample in samples]
 
     @settings(max_examples=300, deadline=None)
     @given(fields=st.lists(st.tuples(CORPUS_TEXT, CORPUS_TEXT, CORPUS_TEXT, CORPUS_TEXT), max_size=4))
@@ -389,7 +391,7 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"source": "x", "target": "y"}\n', encoding="utf-8")
         with pytest.raises(MalformedLineError):
-            list(read_corpus(path))
+            list(corpus_targets(path))
 
     @pytest.mark.parametrize("field", ["source", "target", "kind", "concept"])
     def test_read_rejects_non_string_field(self, tmp_path, field):
@@ -397,7 +399,7 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kgel": {}}\n' + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(MalformedLineError, match=r"bad\.jsonl:2: corpus record fields must be strings"):
-            list(read_corpus(path))
+            list(corpus_targets(path))
 
     @pytest.mark.parametrize(
         "lines, line_no",
@@ -417,20 +419,20 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(line.replace("{record}", record) + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(MalformedLineError, match=rf"bad\.jsonl:{line_no}: corpus record keys"):
-            list(read_corpus(path))
+            list(corpus_targets(path))
 
     def test_header_after_blank_lines_is_first_record(self, tmp_path):
         record = {"source": "x", "target": "[BOS] a [EOS]", "kind": "synonym", "concept": "C1"}
         path = tmp_path / "corpus.jsonl"
         path.write_text('\n\n{"kgel": {"format": "kgel-corpus-v1"}}\n' + json.dumps(record) + "\n", encoding="utf-8")
-        assert [sample.target for sample in read_corpus(path)] == ["[BOS] a [EOS]"]
+        assert list(corpus_targets(path)) == ["[BOS] a [EOS]"]
 
     @pytest.mark.parametrize("bad", ["[" * 100_000, '{"target": ' + "9" * 5_000 + "}"], ids=["deep", "long_int"])
     def test_undecodable_json_reports_line(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kgel": {}}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(MalformedLineError, match=r"bad\.jsonl:2: invalid JSON"):
-            list(read_corpus(path))
+            list(corpus_targets(path))
 
     def test_invalid_utf8_reports_line(self, toy_kg, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -439,7 +441,7 @@ class TestCorpusIO:
         with open(path, "ab") as fp:
             fp.write(b'{"source": "\xed\xa0\x80"}\n')
         with pytest.raises(MalformedLineError) as exc:
-            list(read_corpus(path))
+            list(corpus_targets(path))
         assert exc.value.line_no == 4
         assert "invalid UTF-8" in exc.value.reason
 
@@ -458,6 +460,6 @@ class TestCorpusIO:
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
         path.write_bytes(data)
         try:
-            list(read_corpus(path))
+            list(corpus_targets(path))
         except KgelError:
             pass

@@ -87,6 +87,24 @@ def owner_map(kg):
     return owners
 
 
+def preorder_dump(trie):
+    """``depth<TAB>token<TAB>terminal<TAB>owners-csv`` for every node but the
+    root, in preorder with children in sorted token order, read through
+    ``allowed_next`` and ``entities_at`` alone."""
+    lines = []
+
+    def visit(prefix):
+        children, _ = trie.allowed_next(prefix)
+        for token in sorted(children):
+            path = prefix + (token,)
+            owners = trie.entities_at(path)
+            lines.append(f"{len(path)}\t{token}\t{int(bool(owners))}\t{','.join(owners)}\n")
+            visit(path)
+
+    visit(())
+    return "".join(lines)
+
+
 def dump_from_owner_map(owners):
     """The preorder dump, written without a trie: lexicographic order of
     token tuples is preorder with children in sorted token order."""
@@ -103,10 +121,10 @@ def test_build_trie_matches_the_owner_map(kg):
     owners = owner_map(kg)
     trie = build_trie(kg)
     reference = TokenTrie.from_surfaces(owners)
-    shape = lambda t: (t.dump(), len(t), t.node_count, t.max_depth)
+    shape = lambda t: (preorder_dump(t), len(t), t.node_count, t.max_depth)
     assert shape(trie) == shape(reference)
     expected_dump = dump_from_owner_map(owners)
-    assert trie.dump() == expected_dump
+    assert preorder_dump(trie) == expected_dump
     assert len(trie) == len(owners)
     assert trie.node_count == 1 + expected_dump.count("\n")
     assert trie.max_depth == max(len(tokenize(surface)) for surface in owners)
@@ -143,7 +161,7 @@ class TestSharedTokens:
         with open(path, "w", encoding="utf-8") as fp:
             save_model(trained, fp)
         for model in (trained, load_model(path)):
-            tokens = {token: token for token in model.counts[()]}
+            tokens = {token: token for token in model.tokens}
             assert all(tokens[key] is key for key in trie_keys(trie))
 
 
@@ -170,29 +188,6 @@ class TestAllowedNext:
         assert terminal is True
 
 
-class TestDump:
-    def test_preorder_dump(self):
-        trie = build_trie(kg_with_synonyms(["b", "a c"], ["a"]))
-        assert trie.dump().splitlines() == [
-            "1\ta\t1\tC1",
-            "2\tc\t1\tC0",
-            "1\tb\t1\tC0",
-        ]
-
-    def test_dump_is_deterministic(self, toy_kg):
-        assert build_trie(toy_kg).dump() == build_trie(toy_kg).dump()
-
-    def test_dump_sorts_children_inserted_out_of_order(self):
-        # "B c" sorts before "a" as a surface but its first token after "a"
-        trie = TokenTrie.from_surfaces({"B c": ["C0"], "a": ["C1"], "B A": ["C2"]})
-        assert trie.dump().splitlines() == [
-            "1\ta\t1\tC1",
-            "1\tb\t0\t",
-            "2\ta\t1\tC2",
-            "2\tc\t1\tC0",
-        ]
-
-
 class TestBeamSearch:
     def test_uniform_scorer_lexicographic(self):
         trie = TokenTrie.from_surfaces({"cc": ["C2"], "aa": ["C0"], "bb": ["C1"]})
@@ -214,12 +209,7 @@ class TestBeamSearch:
 
     def test_no_hypothesis_on_empty_trie(self):
         with pytest.raises(NoHypothesisError):
-            constrained_beam_search(TokenTrie(), UniformScorer(), beam_width=2, max_len=3)
-
-    def test_no_hypothesis_when_max_len_too_short(self):
-        trie = TokenTrie.from_surfaces({"a b c": ["C0"]})
-        with pytest.raises(NoHypothesisError):
-            constrained_beam_search(trie, UniformScorer(), beam_width=4, max_len=2)
+            constrained_beam_search(TokenTrie(), UniformScorer(), beam_width=2)
 
     def test_prefix_surfaces_emit_even_while_expanding(self):
         trie = TokenTrie.from_surfaces({"a": ["C0"], "a b": ["C1"]})
@@ -468,7 +458,7 @@ def reference_beam_search(trie, scorer, beam_width):
         beams = heapq.nsmallest(beam_width, expansions, key=lambda item: (-item[1], item[0]))
         completed.extend((prefix, score) for prefix, score, node in beams if node.entity_ids)
     if not completed:
-        raise NoHypothesisError("no surface form completed within max_len")
+        raise NoHypothesisError("no surface form completed")
     return sorted(completed, key=lambda item: (-item[1], item[0]))
 
 
@@ -507,7 +497,7 @@ class TestEquivalence:
         trie = TokenTrie.from_surfaces(surface_owners)
         reference = reference_trie(surface_owners)
         for built in [trie] + ([TokenTrie()] if not surface_owners else []):
-            assert built.dump() == reference.dump()
+            assert preorder_dump(built) == reference.dump()
             assert (len(built), built.node_count, built.max_depth) == (len(reference), reference.node_count, reference.max_depth)
         prefixes = {()} | {tuple(tokenize(s))[:depth] for s in surface_owners for depth in range(1, 5)}
         prefixes |= {prefix + ("zz",) for prefix in list(prefixes)}
