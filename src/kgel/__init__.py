@@ -28,7 +28,6 @@ from .kg import (
 from .linking import (
     Candidate,
     LinkedPrediction,
-    LookupTable,
     build_lookup,
     link_dataset,
     link_mention,
@@ -62,7 +61,6 @@ __all__ = [
     "KgelError",
     "KnowledgeGraph",
     "LinkedPrediction",
-    "LookupTable",
     "Mention",
     "NGramModel",
     "Relation",

@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import linking
 from .kg import KnowledgeGraph
-from .linking import LinkedPrediction, build_lookup
+from .linking import LinkedPrediction
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ def report(
     unresolved = ambiguous = None
     if kg is not None:
         unresolved = sum(1 for p in predictions if p.gold not in kg.entities)
-        table = build_lookup(kg)
-        ambiguous = sum(
-            1 for p in predictions if any(table.is_ambiguous(c.surface) for c in p.candidates)
-        )
+        # The trie is built through the module, so a wrapper set on
+        # kgel.linking.build_lookup sees the call.
+        trie = linking.build_lookup(kg)
+        ambiguous = sum(1 for p in predictions if any(trie.is_ambiguous(c.surface) for c in p.candidates))
     return EvalReport(
         recall_at=recall,
         mentions=len(predictions),

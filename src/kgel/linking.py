@@ -40,25 +40,9 @@ class LinkedPrediction:
     candidates: tuple[Candidate, ...]
 
 
-class LookupTable:
-    """Normalized surface form -> sorted owning entity ids."""
-
-    def __init__(self, entries: dict[str, tuple[EntityId, ...]]):
-        self.entries = entries
-
-    def owners(self, surface: str) -> tuple[EntityId, ...]:
-        return self.entries.get(normalize(surface), ())
-
-    def is_ambiguous(self, surface: str) -> bool:
-        return len(self.owners(surface)) > 1
-
-
-def build_lookup(kg: KnowledgeGraph) -> LookupTable:
-    surfaces: dict[str, set[str]] = {}
-    for entity_id in kg.entities:
-        for synonym in kg.entities[entity_id].synonyms:
-            surfaces.setdefault(normalize(synonym), set()).add(entity_id)
-    return LookupTable({surface: tuple(sorted(owners)) for surface, owners in sorted(surfaces.items())})
+# The trie is the one surface -> entity index; evaluate reads owners from it
+# by surface (TokenTrie.owners and is_ambiguous) under this name.
+build_lookup = build_trie
 
 
 def _resolve_owner(kg: KnowledgeGraph, mention_surface: str, owners: Sequence[EntityId]) -> EntityId:

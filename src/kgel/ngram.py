@@ -2,8 +2,8 @@
 
 This is the desk-scale stand-in for a neural generative model: it trains on
 corpus targets in seconds and its scores are exact, hand-checkable fractions.
-Tokens live in the shared normalized space (case-folded), so the model, the
-trie and the lookup table always agree on vocabulary.
+Tokens live in the shared normalized space (case-folded), so the model and
+the trie always agree on vocabulary.
 
 The model implements the scorer contract directly; wrap it with
 :func:`condition_on_mention` to complete the linking template
@@ -299,6 +299,9 @@ class MentionConditionedScorer:
 
 
 def condition_on_mention(model: NGramModel, mention_surface: str) -> MentionConditionedScorer:
+    """Raises ``SpecialTokenError`` when the mention holds a reserved template
+    token, as ``finetune_targets`` does."""
+    check_reserved_tokens(mention_surface, "mention")
     return MentionConditionedScorer(model, tuple(tokenize(f"{BOS} {mention_surface} is")))
 
 

@@ -1,5 +1,5 @@
-"""Surface-form normalization shared by dedup, the trie, the lookup table and
-the n-gram scorer: case-fold and collapse runs of whitespace."""
+"""Surface-form normalization shared by dedup, the trie and the n-gram
+scorer: case-fold and collapse runs of whitespace."""
 
 from sys import intern
 

@@ -224,6 +224,18 @@ class TokenTrie:
     def entities_at(self, prefix: Sequence[str]) -> tuple[str, ...]:
         return tuple(self._owners(self._walk(prefix)))
 
+    def owners(self, surface: str) -> tuple[str, ...]:
+        """The entities that own ``surface`` under the shared normalization,
+        ascending; ``()`` when it is not a registered surface form, as for
+        ``""``."""
+        try:
+            return self.entities_at(tokenize(surface))
+        except InvalidPrefixError:
+            return ()
+
+    def is_ambiguous(self, surface: str) -> bool:
+        return len(self.owners(surface)) > 1
+
     def __len__(self) -> int:
         return self._surfaces
 

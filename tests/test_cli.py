@@ -609,6 +609,14 @@ class TestWorker:
         assert "kgel: error: reserved token [EOS] occurs in mention 0 of document 'r1': '[EOS] is'" in err
         assert not out.exists()
 
+    def test_link_leaves_a_reserved_token_mention_without_candidates(self, capsys, tmp_path, paths):
+        out = tmp_path / "p.jsonl"
+        argv = ["link", "--kg", paths["kg"], "--dataset", paths["reserved_dataset"], "--model", paths["model"]]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert "linked 1 mentions" in err and "1 left without candidates" in err
+        assert json.loads(out.read_text(encoding="utf-8").splitlines()[1])["candidates"] == []
+
     def test_link_writes_what_an_in_process_run_writes(self, capsys, tmp_path, mode, paths):
         out = tmp_path / "p.jsonl"
         argv = ["link", "--kg", paths["kg"], "--dataset", paths["dataset"], "--model", paths["model"]]

@@ -19,9 +19,9 @@ import pytest
 from conftest import TOY_DATASET, TOY_KG_DIR
 
 import kgel
-from kgel.linking import build_lookup
+from kgel.linking import build_lookup, link_dataset, write_predictions
 from kgel.ngram import condition_on_mention, train
-from kgel.trie import build_trie
+from kgel.trie import UniformScorer, build_trie
 
 ROOT = Path(__file__).parents[1]
 TESTS = Path(__file__).parent
@@ -74,12 +74,27 @@ def test_gate_and_ci_imports_exist():
     assert wanted and missing == []
 
 
+def run_traced(tmp_path, command: str, args: list[str]) -> dict:
+    """Run one command under traced.py and return what it recorded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kgel.__file__).parents[1])}
+    path = tmp_path / f"{command}.json"
+    argv = [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(path), f"toy:{command}", command, *args]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(path.read_text(encoding="utf-8"))
+    assert traced["unwrapped"] == UNRESOLVED
+    return traced
+
+
+def span_names(traced: dict) -> set[str]:
+    return {traced["names"][span[2]] for span in traced["spans"]}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="kgel link forks a worker")
 def test_traced_commands_on_the_toy_fixtures(tmp_path):
     """Every stage runs under traced.py, which wraps every boundary but the
     unresolved one, records spans at the stage's boundaries and the link
     counters from its direct calls."""
-    env = {**os.environ, "PYTHONPATH": str(Path(kgel.__file__).parents[1])}
     kg, dataset = str(TOY_KG_DIR), str(TOY_DATASET)
     corpus, model, preds = (str(tmp_path / name) for name in ("corpus.jsonl", "model.tsv", "preds.jsonl"))
     stages = {
@@ -95,14 +110,24 @@ def test_traced_commands_on_the_toy_fixtures(tmp_path):
         "evaluate": (["--preds", preds, "--kg", kg], {"evaluate.read_predictions", "evaluate.report"}),
     }
     for command, (args, spans) in stages.items():
-        path = tmp_path / f"{command}.json"
-        argv = [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(path), f"toy:{command}", command, *args]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert done.returncode == 0, done.stderr
-        traced = json.loads(path.read_text(encoding="utf-8"))
-        assert traced["unwrapped"] == UNRESOLVED
-        assert spans <= {traced["names"][span[2]] for span in traced["spans"]}, command
+        traced = run_traced(tmp_path, command, args)
+        assert spans <= span_names(traced), command
         if command == "link":
             counters = traced["counters"]
             assert counters["trie.nodes"] > 1 and counters["trie.root_fanout"] > 0
             assert counters["linking.candidates"] > 0 and "linking.ambiguous_candidates" in counters
+
+
+def test_traced_evaluate_times_its_trie_as_the_lookup(tmp_path, toy_kg, toy_docs):
+    """``evaluate --kg`` builds its trie through kgel.linking.build_lookup,
+    which traced.py times as linking.build_lookup_s. It does not go through
+    kgel.linking.build_trie, whose wrapper sets trie.nodes and
+    trie.root_fanout, which the benchmark sums over the stages."""
+    preds = tmp_path / "preds.jsonl"
+    with open(preds, "w", encoding="utf-8") as fp:
+        write_predictions(link_dataset(toy_kg, toy_docs, lambda surface: UniformScorer()), fp)
+    args = ["--preds", str(preds), "--gold", str(TOY_DATASET), "--kg", str(TOY_KG_DIR)]
+    traced = run_traced(tmp_path, "evaluate", args)
+    names = span_names(traced)
+    assert {"evaluate.report", "linking.build_lookup"} <= names and "trie.build_trie" not in names
+    assert not {"trie.nodes", "trie.root_fanout"} & set(traced["counters"])

@@ -1,7 +1,9 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import make_documents
 
 from kgel.ingest import Mention
 from kgel.kg import Entity, build_kg
@@ -15,7 +17,8 @@ from kgel.linking import (
     read_predictions,
     write_predictions,
 )
-from kgel.errors import KgelError, LineError, MalformedPredictionsError
+from kgel.errors import EmptySurfaceError, KgelError, LineError, MalformedPredictionsError
+from kgel.evaluate import report
 from kgel.ngram import condition_on_mention, finetune_targets, train
 from kgel.similarity import similarity
 from kgel.trie import TokenTrie, UniformScorer, build_trie
@@ -30,37 +33,81 @@ def uniform_factory(_surface):
     return UniformScorer()
 
 
+# Surfaces over a few words with case and inner-whitespace variants, so that
+# entities share surfaces under normalization without sharing spelling, and
+# a one- or two-word surface is a token prefix of a longer one.
+LOOKUP_SURFACE = st.builds(
+    lambda words, sep: sep.join(words),
+    st.lists(st.sampled_from(["a", "A", "b", "B", "ab"]), min_size=1, max_size=3),
+    st.sampled_from([" ", "  ", "\u00a0"]),
+)
+
+
+@st.composite
+def lookup_kgs(draw):
+    ids = draw(st.lists(st.sampled_from([f"C{i}" for i in range(8)]), max_size=6, unique=True))
+    entities = []
+    for entity_id in ids:
+        surfaces = draw(st.lists(LOOKUP_SURFACE, min_size=1, max_size=4))
+        entities.append(Entity.make(entity_id, surfaces[0], surfaces[1:]))
+    return build_kg(entities, [], [])
+
+
+def reference_lookup(kg):
+    """Normalized surface -> sorted owners, built from the synonyms directly."""
+    surfaces = {}
+    for entity_id in kg.entities:
+        for synonym in kg.entities[entity_id].synonyms:
+            surfaces.setdefault(normalize(synonym), set()).add(entity_id)
+    return {surface: tuple(sorted(owners)) for surface, owners in surfaces.items()}
+
+
 class TestBuildLookup:
+    def test_is_build_trie(self):
+        assert build_lookup is build_trie
+
     def test_unambiguous_fixture(self, toy_kg):
-        table = build_lookup(toy_kg)
-        assert all(len(owners) == 1 for owners in table.entries.values())
+        trie = build_lookup(toy_kg)
         for entity in toy_kg.entities.values():
             for synonym in entity.synonyms:
-                assert table.owners(synonym) == (entity.id,)
+                assert trie.owners(synonym) == (entity.id,)
+                assert not trie.is_ambiguous(synonym)
 
     def test_shared_surface(self):
         kg = build_kg([Entity.make("A", "aspirin"), Entity.make("B", "Aspirin ")], [], [])
-        table = build_lookup(kg)
-        assert table.owners("aspirin") == ("A", "B")
-        assert table.entries == {"aspirin": ("A", "B")}
-        assert table.is_ambiguous("ASPIRIN")
+        trie = build_lookup(kg)
+        assert trie.owners("aspirin") == ("A", "B")
+        assert len(trie) == 1 and trie.node_count == 2
+        assert trie.is_ambiguous("ASPIRIN")
 
     def test_empty_kg(self):
-        table = build_lookup(build_kg([], [], []))
-        assert table.entries == {}
-        assert table.owners("anything") == ()
+        trie = build_lookup(build_kg([], [], []))
+        assert len(trie) == 0
+        assert trie.owners("anything") == () and trie.owners("") == ()
 
-    def test_entries_equal_trie_terminal_payloads(self, linkbench):
-        # link_mention reads owners from the trie, evaluate from the table
-        kg, _ = linkbench
-        kg = build_kg(
-            [*kg.entities.values(), Entity.make("Z1", "Shared  Name"), Entity.make("Z0", "shared name")], [], []
-        )
-        trie = build_trie(kg)
-        table = build_lookup(kg)
-        assert [s for s, owners in table.entries.items() if len(owners) > 1] == ["shared name"]
-        assert {s: trie.entities_at(s.split()) for s in table.entries} == table.entries
-        assert len(trie) == len(table.entries)
+    def test_whitespace_only_synonym_rejected(self):
+        # parse_kg_dir rejects such a line; an in-memory graph can hold one.
+        kg = build_kg([Entity.make("A", "aspirin", ["   "])], [], [])
+        with pytest.raises(EmptySurfaceError):
+            build_lookup(kg)
+        prediction = LinkedPrediction(doc_id="d", mention_index=0, gold="A", candidates=())
+        with pytest.raises(EmptySurfaceError):
+            report([prediction], kg=kg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookup_kgs(), st.lists(st.text(alphabet="abAB \t", max_size=6), max_size=4))
+    @example(build_kg([], [], []), [])
+    def test_owners_equal_reference(self, kg, extra):
+        trie = build_lookup(kg)
+        reference = reference_lookup(kg)
+        synonyms = [s for e in kg.entities.values() for s in e.synonyms]
+        prefixes = [" ".join(s.split()[:depth]) for s in synonyms for depth in range(1, len(s.split()))]
+        probes = [*synonyms, *prefixes, "", "  \t ", "zz", "a zz", "ab ab ab ab", *extra]
+        for surface in probes:
+            owners = reference.get(normalize(surface), ())
+            assert trie.owners(surface) == owners, surface
+            assert trie.is_ambiguous(surface) is (len(owners) > 1), surface
+        assert len(trie) == len(reference)
 
 
 class TestLinkMention:
@@ -180,6 +227,13 @@ class TestLinkDataset:
         assert len(predictions) == 10
         assert all(p.candidates == () for p in predictions)
         assert [p.gold for p in predictions][:3] == ["C0001", "C0002", "C0004"]
+
+    def test_reserved_token_mention_gets_no_candidates(self, toy_kg):
+        model = train(finetune_targets(toy_kg, make_documents([[("aspirin", "C0001")]])), 3)
+        docs = make_documents([[("[EOS] is", "C0001"), ("aspirin", "C0001")]])
+        predictions = link_dataset(toy_kg, docs, lambda s: condition_on_mention(model, s))
+        assert predictions[0].candidates == ()
+        assert predictions[1].candidates[0].entity == "C0001"
 
     def test_candidates_are_registered_synonyms(self, toy_kg, toy_docs):
         table = build_lookup(toy_kg)

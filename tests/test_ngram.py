@@ -440,6 +440,12 @@ class TestConditioning:
         scores = scorer.score_next([], {"mi", "migraine"})
         assert set(scores) == {"mi", "migraine"}
 
+    @pytest.mark.parametrize("surface", ["[EOS] is", "x [bos]", "a[St]b", "[et]"])
+    def test_reserved_token_in_mention_rejected(self, surface):
+        _, model = self.kg_and_model()
+        with pytest.raises(SpecialTokenError, match=r"reserved token \[\w+\] occurs in mention: "):
+            condition_on_mention(model, surface)
+
     def test_scorer_prepends_context(self):
         _, model = self.kg_and_model()
         scorer = MentionConditionedScorer(model, ("[bos]", "mi", "is"))
